@@ -6,12 +6,11 @@ half-angle identity produces every later cosine as a nested square root, so
 the closed forms below fall out of the recurrence itself.
 """
 
-from pibounds import bounds_at, eval_radical, nested_radical_form
+from pibounds import bounds_at, eval_radical, ladder, nested_radical_form
 
 print(f"{'n':>5}  {'inscribed c_n':<28} {'closed form':<30} "
       f"{'circumscribed C_n':<28}")
-for k in range(6):
-    bounds = bounds_at(k, 8)
+for bounds in ladder(5, 8):
     c_lo, c_hi = bounds.lower.decimal_bounds(8)
     t_lo, t_hi = bounds.upper.decimal_bounds(8)
     form = nested_radical_form(bounds.n, "c").render()

@@ -23,9 +23,10 @@ EXIT_PRECISION = 3
 EXIT_NO_BOUND = 4
 
 
-def _enclosure_cells(iv: Interval, digits: int) -> tuple[str, str]:
-    """Outward-rounded endpoint strings: lo floored, hi ceiled."""
-    return iv.decimal_bounds(digits)
+def _cells(bounds: polygon.PolygonBounds, digits: int) -> tuple[str, str, str, str]:
+    """c_lo, c_hi, C_lo, C_hi as outward-rounded strings: lo floored, hi ceiled."""
+    return (*bounds.lower.decimal_bounds(digits),
+            *bounds.upper.decimal_bounds(digits))
 
 
 def _fraction(q: Rational) -> str:
@@ -38,8 +39,7 @@ def _fraction(q: Rational) -> str:
 
 def cmd_bounds(args: argparse.Namespace) -> None:
     bounds = polygon.bounds_at(args.doublings, args.digits, args.max_precision)
-    c_lo, c_hi = _enclosure_cells(bounds.lower, args.digits)
-    t_lo, t_hi = _enclosure_cells(bounds.upper, args.digits)
+    c_lo, c_hi, t_lo, t_hi = _cells(bounds, args.digits)
     if args.format == "csv":
         print("n,c_lo,c_hi,C_lo,C_hi")
         print(f"{bounds.n},{c_lo},{c_hi},{t_lo},{t_hi}")
@@ -65,10 +65,8 @@ def cmd_bounds(args: argparse.Namespace) -> None:
 def _table_rows(max_doublings: int, digits: int,
                 max_precision: int) -> list[dict[str, object]]:
     rows = []
-    for k in range(max_doublings + 1):
-        bounds = polygon.bounds_at(k, digits, max_precision)
-        c_lo, c_hi = _enclosure_cells(bounds.lower, digits)
-        t_lo, t_hi = _enclosure_cells(bounds.upper, digits)
+    for bounds in polygon.ladder(max_doublings, digits, max_precision):
+        c_lo, c_hi, t_lo, t_hi = _cells(bounds, digits)
         rows.append({
             "n": bounds.n,
             "c_form": polygon.nested_radical_form(bounds.n, "c").render(),
@@ -196,12 +194,10 @@ _REFERENCES = (
 
 
 def cmd_export_fig3(args: argparse.Namespace) -> None:
+    rungs = polygon.ladder(args.max_doublings, args.digits, args.max_precision)
     print("n,c_n,c_n_hi,C_n,C_n_hi")
-    for k in range(args.max_doublings + 1):
-        bounds = polygon.bounds_at(k, args.digits, args.max_precision)
-        c_lo, c_hi = _enclosure_cells(bounds.lower, args.digits)
-        t_lo, t_hi = _enclosure_cells(bounds.upper, args.digits)
-        print(f"{bounds.n},{c_lo},{c_hi},{t_lo},{t_hi}")
+    for bounds in rungs:
+        print(bounds.n, *_cells(bounds, args.digits), sep=",")
     for label, value in _REFERENCES:
         cell = decimal_str(value, args.digits)
         print(f"{label},{cell},{cell},{cell},{cell}")

@@ -18,22 +18,39 @@ Sines are propagated with sin(x/2) = sin(x) / (2 cos(x/2)), which is exact and
 free of the cancellation that makes sqrt(1 - cos^2) collapse as cos -> 1.  The
 direct form is kept as `sine_from_cosine` for cross-checking at small depth.
 
+Every step is monotone on positive inputs: sqrt((1 + cos)/2) increases with
+cos, sin/(2 cos') increases with sin and decreases with cos', n*sin is exact
+and c_n/cos increases with c_n and decreases with cos.  So `halve_angle` and `perimeters` work on the raw
+mantissas at scale 10**p and round each endpoint once, in its own direction,
+instead of taking the four corners of a generic interval division (Moore,
+Kearfott & Cloud, *Introduction to Interval Analysis*, 2009).  The halving
+is folded into the square-root argument, which leaves two long divisions per
+rung and one per perimeter.  The positivity checks that raise
+`PrecisionExhausted` are what make these directions valid.
+
+`ladder` is the one routine that runs the recurrence: one pass from the
+seed yields the certified bounds of every rung k = 0..K, and `bounds_at` is
+its last rung.
+
 The module also builds and evaluates the nested-radical closed forms
 n * sqrt(2 - sqrt(2 + ... sqrt(3)))/2 that the doubling produces for each n.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .exactnum import (
     Interval,
     Rational,
+    ceil_div,
     interval_add,
     interval_div,
     interval_mul,
     interval_sqrt,
     interval_sub,
+    isqrt_ceil,
     make_interval,
 )
 
@@ -95,21 +112,28 @@ def seed_state(precision: int) -> AngleState:
 
 
 def halve_angle(state: AngleState) -> AngleState:
-    """One doubling step n -> 2n via the half-angle identity."""
+    """One doubling step n -> 2n via the half-angle identity.
+
+    With s = 10**p the new cosine is [isqrt((s + lo) * s/2),
+    isqrt_ceil((s + hi) * s/2)] (s is even, so s/2 is exact) and the new sine
+    is [sin.lo * s // (2 cos.hi), ceil(sin.hi * s / (2 cos.lo))].
+    """
     p = state.precision
-    one = make_interval(1, p)
-    two = make_interval(2, p)
-    cos_half = interval_sqrt(
-        interval_div(interval_add(one, state.cos_enc), two))
-    if cos_half.lo <= 0:
+    s = 10**p
+    half = s // 2
+    cos_lo = math.isqrt((s + state.cos_enc.lo) * half)
+    if cos_lo <= 0:
         raise PrecisionExhausted(
             f"cosine enclosure degenerated at n={2 * state.n}, precision={p}")
-    sin_half = interval_div(state.sin_enc, interval_mul(two, cos_half))
-    if sin_half.lo <= 0:
+    cos_hi = isqrt_ceil((s + state.cos_enc.hi) * half)
+    sin_lo = state.sin_enc.lo * s // (2 * cos_hi)
+    if sin_lo <= 0:
         raise PrecisionExhausted(
             f"sine enclosure degenerated at n={2 * state.n}, precision={p}")
-    return AngleState(k=state.k + 1, n=2 * state.n, cos_enc=cos_half,
-                      sin_enc=sin_half, precision=p)
+    sin_hi = ceil_div(state.sin_enc.hi * s, 2 * cos_lo)
+    return AngleState(k=state.k + 1, n=2 * state.n,
+                      cos_enc=Interval(cos_lo, cos_hi, p),
+                      sin_enc=Interval(sin_lo, sin_hi, p), precision=p)
 
 
 def sine_from_cosine(cos_enc: Interval) -> Interval:
@@ -123,45 +147,62 @@ def sine_from_cosine(cos_enc: Interval) -> Interval:
 
 
 def perimeters(state: AngleState) -> PolygonBounds:
-    """c_n = n sin(180/n) and C_n = n tan(180/n), with tan taken as sin/cos."""
-    if state.cos_enc.lo <= 0:
-        raise PrecisionExhausted(
-            f"cosine enclosure contains zero at n={state.n}")
-    n_iv = make_interval(state.n, state.precision)
-    lower = interval_mul(n_iv, state.sin_enc)
-    upper = interval_div(lower, state.cos_enc)
-    return PolygonBounds(n=state.n, lower=lower, upper=upper)
+    """c_n = n sin(180/n) and C_n = n tan(180/n), with tan taken as sin/cos.
 
-
-def bounds_at(k: int, digits: int,
-              max_precision: int = DEFAULT_MAX_PRECISION) -> PolygonBounds:
-    """Certified perimeter bounds after k doublings, both with width < 10**-digits.
-
-    Working precision starts at digits + 10 + k guard digits and doubles on
-    failure, recomputing from the seed each time (the ladder is cheap).
+    c_n is n times the sine mantissas, exactly; C_n = c_n / cos rounds its
+    lower end down against cos.hi and its upper end up against cos.lo.
     """
-    if k < 0:
+    if state.cos_enc.lo <= 0 or state.sin_enc.lo <= 0:
+        raise PrecisionExhausted(
+            f"cosine or sine enclosure not positive at n={state.n}")
+    p = state.precision
+    s = 10**p
+    c_lo, c_hi = state.n * state.sin_enc.lo, state.n * state.sin_enc.hi
+    return PolygonBounds(
+        n=state.n,
+        lower=Interval(c_lo, c_hi, p),
+        upper=Interval(c_lo * s // state.cos_enc.hi,
+                       ceil_div(c_hi * s, state.cos_enc.lo), p))
+
+
+def ladder(max_k: int, digits: int,
+           max_precision: int = DEFAULT_MAX_PRECISION) -> list[PolygonBounds]:
+    """Certified perimeter bounds for k = 0..max_k, each with width < 10**-digits.
+
+    One pass from the seed at digits + 10 + max_k working digits yields every
+    rung.  If an enclosure degenerates or any rung misses the width, the pass
+    is repeated at double the precision.  ResourceLimit is raised before a
+    pass whose precision would exceed max_precision.
+    """
+    if max_k < 0:
         raise ValueError("doubling count must be >= 0")
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    precision = digits + 10 + k
+    precision = digits + 10 + max_k
     while True:
         if precision > max_precision:
             raise ResourceLimit(
                 f"needed precision exceeds max_precision={max_precision}")
         try:
             state = seed_state(precision)
-            for _ in range(k):
+            rungs = [perimeters(state)]
+            for _ in range(max_k):
                 state = halve_angle(state)
-            bounds = perimeters(state)
+                rungs.append(perimeters(state))
         except PrecisionExhausted:
             precision *= 2
             continue
         limit = 10 ** (precision - digits)
-        if (bounds.lower.hi - bounds.lower.lo < limit
-                and bounds.upper.hi - bounds.upper.lo < limit):
-            return bounds
+        if all(b.lower.hi - b.lower.lo < limit and b.upper.hi - b.upper.lo < limit
+               for b in rungs):
+            return rungs
         precision *= 2
+
+
+def bounds_at(k: int, digits: int,
+              max_precision: int = DEFAULT_MAX_PRECISION) -> PolygonBounds:
+    """Certified perimeter bounds after k doublings: the last rung of ``ladder``."""
+    return ladder(k, digits, max_precision)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +252,23 @@ class RadicalExpr:
         return "".join(parts)
 
 
+def _signs(r: Radical) -> list[str]:
+    """Signs of a tower from the outermost sqrt(2 +/- ...) down to the leaf.
+
+    A tower is a linear chain, so it is walked in a loop: recursing once per
+    level would hit Python's recursion limit near k = 1000.
+    """
+    signs = []
+    while r.sign is not None:
+        signs.append(r.sign)
+        r = r.child
+    return signs
+
+
 def _render_tree(r: Radical) -> str:
-    if r.sign is None:
-        return _SQRT + "3"
-    op = "+" if r.sign == "+" else _MINUS
-    return f"{_SQRT}(2{op}{_render_tree(r.child)})"
+    signs = _signs(r)
+    opens = "".join(f"{_SQRT}(2{'+' if sign == '+' else _MINUS}" for sign in signs)
+    return f"{opens}{_SQRT}3{')' * len(signs)}"
 
 
 def parse_radical_expr(text: str) -> RadicalExpr:
@@ -236,24 +289,28 @@ def parse_radical_expr(text: str) -> RadicalExpr:
 
     def parse_tree() -> Radical:
         nonlocal pos
-        if not text.startswith(_SQRT, pos):
-            raise error(f"expected {_SQRT} at position {pos}")
-        pos += 1
-        if text.startswith("3", pos):
+        signs = []
+        while True:
+            if not text.startswith(_SQRT, pos):
+                raise error(f"expected {_SQRT} at position {pos}")
             pos += 1
-            return Radical()
-        if not text.startswith("(2", pos):
-            raise error(f"expected '(2' at position {pos}")
-        pos += 2
-        if pos >= len(text) or text[pos] not in ("+", "-", _MINUS):
-            raise error(f"expected sign at position {pos}")
-        sign = "+" if text[pos] == "+" else "-"
-        pos += 1
-        child = parse_tree()
-        if not text.startswith(")", pos):
-            raise error(f"expected ')' at position {pos}")
-        pos += 1
-        return Radical(sign, child)
+            if text.startswith("3", pos):
+                pos += 1
+                break
+            if not text.startswith("(2", pos):
+                raise error(f"expected '(2' at position {pos}")
+            pos += 2
+            if pos >= len(text) or text[pos] not in ("+", "-", _MINUS):
+                raise error(f"expected sign at position {pos}")
+            signs.append("+" if text[pos] == "+" else "-")
+            pos += 1
+        tree = Radical()
+        for sign in reversed(signs):
+            if not text.startswith(")", pos):
+                raise error(f"expected ')' at position {pos}")
+            pos += 1
+            tree = Radical(sign, tree)
+        return tree
 
     multiplier = parse_int()
     numerator = None
@@ -300,13 +357,13 @@ def nested_radical_form(n: int, which: str) -> RadicalExpr:
 
 
 def _eval_tree(r: Radical, precision: int) -> Interval:
-    if r.sign is None:
-        return interval_sqrt(make_interval(3, precision))
-    child = _eval_tree(r.child, precision)
     two = make_interval(2, precision)
-    inner = (interval_add(two, child) if r.sign == "+"
-             else interval_sub(two, child))
-    return interval_sqrt(inner)
+    value = interval_sqrt(make_interval(3, precision))
+    for sign in reversed(_signs(r)):
+        inner = (interval_add(two, value) if sign == "+"
+                 else interval_sub(two, value))
+        value = interval_sqrt(inner)
+    return value
 
 
 def eval_radical(expr: RadicalExpr, precision: int) -> Interval:

@@ -7,6 +7,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 from pibounds.cli import main
 
@@ -231,6 +232,20 @@ class TestExitCodes:
 
     def test_negative_doublings_exit_2(self, capsys):
         assert main(["bounds", "--doublings", "-1"]) == 2
+
+    def test_huge_table_fails_fast(self, capsys):
+        """The precision a table needs is known before any rung is computed."""
+        start = time.perf_counter()
+        code, out = run_cli("table", "--max-doublings", "100000",
+                            "--digits", "5", capsys=capsys)
+        assert code == 3 and out == ""
+        assert time.perf_counter() - start < 1.0
+
+    def test_failed_export_prints_nothing(self, capsys):
+        code, out = run_cli("export-fig3", "--max-doublings", "13",
+                            "--digits", "8", "--max-precision", "25",
+                            capsys=capsys)
+        assert code == 3 and out == ""
 
 
 class TestDeterminism:

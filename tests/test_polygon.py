@@ -13,8 +13,18 @@ from fractions import Fraction
 
 import pytest
 
-from pibounds.exactnum import PI_REFERENCE
+import pibounds.polygon as polygon_module
+from pibounds.exactnum import (
+    PI_REFERENCE,
+    Interval,
+    interval_add,
+    interval_div,
+    interval_mul,
+    interval_sqrt,
+    make_interval,
+)
 from pibounds.polygon import (
+    PolygonBounds,
     PrecisionExhausted,
     Radical,
     RadicalExpr,
@@ -23,6 +33,7 @@ from pibounds.polygon import (
     bounds_at,
     eval_radical,
     halve_angle,
+    ladder,
     nested_radical_form,
     parse_radical_expr,
     perimeters,
@@ -233,6 +244,170 @@ class TestBoundsAt:
             bounds_at(0, 0)
 
 
+class TestLadder:
+    def test_one_rung_per_doubling(self):
+        rungs = ladder(5, 8)
+        assert [b.n for b in rungs] == [3, 6, 12, 24, 48, 96]
+        for b in rungs:
+            assert b.lower.width < Fraction(1, 10**8)
+            assert b.upper.width < Fraction(1, 10**8)
+        assert rungs[-1] == bounds_at(5, 8)
+
+    @pytest.mark.parametrize("max_k", [0, 5, 13, 40])
+    @pytest.mark.parametrize("digits", [1, 3, 8, 12, 50])
+    def test_printed_cells_match_bounds_at(self, max_k, digits):
+        """Rung k of a deeper pass prints exactly what bounds_at(k) prints,
+        although it ran at max_k - k more working digits."""
+        def cells(b):
+            return b.lower.decimal_bounds(digits) + b.upper.decimal_bounds(digits)
+        rungs = ladder(max_k, digits)
+        assert len(rungs) == max_k + 1
+        for k, b in enumerate(rungs):
+            assert cells(b) == cells(bounds_at(k, digits)), k
+
+    def test_resource_limit_before_any_work(self, monkeypatch):
+        def no_work(precision):
+            raise AssertionError("the ladder started")
+        monkeypatch.setattr(polygon_module, "seed_state", no_work)
+        with pytest.raises(ResourceLimit):
+            ladder(100000, 5)
+        with pytest.raises(ResourceLimit):
+            ladder(13, 8, max_precision=25)
+
+    @pytest.fixture
+    def precisions(self, monkeypatch):
+        """Working precision of each pass, in order."""
+        seen = []
+
+        def seed(precision):
+            seen.append(precision)
+            return seed_state(precision)
+
+        monkeypatch.setattr(polygon_module, "seed_state", seed)
+        return seen
+
+    def test_escalates_on_precision_exhausted(self, monkeypatch, precisions):
+        def halve(state):
+            if len(precisions) == 1:
+                raise PrecisionExhausted("forced")
+            return halve_angle(state)
+
+        monkeypatch.setattr(polygon_module, "halve_angle", halve)
+        rungs = ladder(4, 8)
+        assert precisions == [22, 44]
+        assert [b.n for b in rungs] == [3, 6, 12, 24, 48]
+
+    def test_escalates_on_width(self, monkeypatch, precisions):
+        """A single rung wider than 10**-digits makes the whole pass repeat."""
+        def widened(state):
+            b = perimeters(state)
+            if len(precisions) > 1 or state.k != 2:
+                return b
+            p = state.precision
+            wide = Interval(b.lower.lo, b.lower.lo + 10 ** (p - 8), p)
+            return PolygonBounds(b.n, wide, b.upper)
+
+        monkeypatch.setattr(polygon_module, "perimeters", widened)
+        rungs = ladder(4, 8)
+        assert precisions == [22, 44]
+        assert all(b.lower.width < Fraction(1, 10**8) for b in rungs)
+
+    def test_argument_validation(self):
+        with pytest.raises(ValueError):
+            ladder(-1, 8)
+        with pytest.raises(ValueError):
+            ladder(3, 0)
+
+
+# ---------------------------------------------------------------------------
+# differential checks of the fused monotone kernel
+# ---------------------------------------------------------------------------
+
+def generic_halve(state):
+    """The half-angle step composed from generic interval operations."""
+    p = state.precision
+    one, two = make_interval(1, p), make_interval(2, p)
+    cos_half = interval_sqrt(interval_div(interval_add(one, state.cos_enc), two))
+    sin_half = interval_div(state.sin_enc, interval_mul(two, cos_half))
+    return cos_half, sin_half
+
+
+def generic_perimeters(state):
+    lower = interval_mul(make_interval(state.n, state.precision), state.sin_enc)
+    return lower, interval_div(lower, state.cos_enc)
+
+
+def inside(inner: Interval, outer: Interval) -> bool:
+    assert inner.precision == outer.precision
+    return outer.lo <= inner.lo <= inner.hi <= outer.hi
+
+
+DIFF_PRECISIONS = [25, 50, 100, 200]
+
+
+@pytest.mark.parametrize("p", DIFF_PRECISIONS)
+def test_fused_kernel_inside_generic_composition(p):
+    state = seed_state(p)
+    for _ in range(61):
+        lower, upper = generic_perimeters(state)
+        fused = perimeters(state)
+        assert inside(fused.lower, lower) and inside(fused.upper, upper), state.k
+        if state.k == 60:
+            break
+        cos_half, sin_half = generic_halve(state)
+        state = halve_angle(state)
+        assert inside(state.cos_enc, cos_half), state.k
+        assert inside(state.sin_enc, sin_half), state.k
+
+
+@pytest.mark.parametrize("p", DIFF_PRECISIONS)
+def test_fused_kernel_bounds_exact_image_of_input_box(p):
+    """Each endpoint bounds the exact image of the whole input box, checked
+    in integers: cos' = sqrt((1 + c)/2), sin' = sin / (2 cos'), C = n sin / c.
+    Being no wider than the generic path does not show this: a bound that is
+    too tight by less than one ulp passes both other checks."""
+    s = 10**p
+    state = seed_state(p)
+    for _ in range(61):
+        c, sn, n = state.cos_enc, state.sin_enc, state.n
+        b = perimeters(state)
+        assert (b.lower.lo, b.lower.hi) == (n * sn.lo, n * sn.hi)
+        assert b.upper.lo * c.hi <= n * sn.lo * s, state.k
+        assert b.upper.hi * c.lo >= n * sn.hi * s, state.k
+        if state.k == 60:
+            break
+        state = halve_angle(state)
+        cos, sin = state.cos_enc, state.sin_enc
+        assert 2 * cos.lo**2 <= (s + c.lo) * s, state.k
+        assert 2 * cos.hi**2 >= (s + c.hi) * s, state.k
+        assert 2 * sin.lo**2 * (s + c.hi) <= sn.lo**2 * s, state.k
+        assert 2 * sin.hi**2 * (s + c.lo) >= sn.hi**2 * s, state.k
+
+
+@pytest.mark.parametrize("p", DIFF_PRECISIONS)
+def test_fused_kernel_contains_mpmath_values(p):
+    mpmath = pytest.importorskip("mpmath")
+
+    def contains(iv, value):
+        # value carries 2p digits; allow its own error, far below one ulp of iv
+        scaled = value * mpmath.mpf(10) ** p
+        slack = mpmath.mpf(10) ** (-p // 2)
+        return iv.lo - slack <= scaled <= iv.hi + slack
+
+    state = seed_state(p)
+    with mpmath.workdps(2 * p):
+        for k in range(61):
+            angle = mpmath.pi / state.n
+            cos, sin = mpmath.cos(angle), mpmath.sin(angle)
+            b = perimeters(state)
+            assert contains(state.cos_enc, cos), k
+            assert contains(state.sin_enc, sin), k
+            assert contains(b.lower, state.n * sin), k
+            assert contains(b.upper, state.n * sin / cos), k
+            if k < 60:
+                state = halve_angle(state)
+
+
 # ---------------------------------------------------------------------------
 # nested radicals
 # ---------------------------------------------------------------------------
@@ -302,12 +477,24 @@ class TestEvalRadical:
         loose = eval_radical(nested_radical_form(96, "c"), 1)
         assert loose.overlaps(bounds_at(5, 10).lower)
 
+    def test_deep_tower_k1500(self):
+        """Render, parse and evaluate a tower far deeper than the call stack."""
+        n = 3 * 2**1500
+        for which in ("c", "C"):
+            expr = nested_radical_form(n, which)
+            text = expr.render()
+            assert text.count("√") == (3000 if which == "C" else 1500)
+            assert parse_radical_expr(text).render() == text
+            iv = eval_radical(parse_radical_expr(text), 1200)
+            # c_n and C_n are within 10**-900 of pi here
+            assert PI_REFERENCE <= iv.lo_rational
+            assert iv.hi_rational <= PI_REFERENCE + Fraction(1, 10**12)
+
     def test_sqrt3_leaf(self):
         iv = eval_radical(RadicalExpr(1, Radical(), 1), 12)
         assert iv.lo_rational ** 2 <= 3 <= iv.hi_rational ** 2
 
 
 def test_ladder_never_reads_reference_digits():
-    import pibounds.polygon as polygon_module
     source = open(polygon_module.__file__).read()
     assert "PI_REFERENCE" not in source
