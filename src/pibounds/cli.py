@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import contfrac, polygon, series
-from .exactnum import PI_REFERENCE, Interval, Rational, decimal_str
+from .exactnum import PI_REFERENCE, Interval, Rational, UsageError, decimal_str
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -272,9 +272,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         args.func(args)
-    except (contfrac.MalformedDecimal, contfrac.NonPositiveValue,
-            polygon.UnsupportedSideCount, series.UnsupportedSeriesName,
-            series.InvalidTermCount, ValueError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (polygon.PrecisionExhausted, polygon.ResourceLimit) as exc:

@@ -13,18 +13,18 @@ import re
 from dataclasses import dataclass
 
 from . import polygon
-from .exactnum import Rational, Side, decimal_str, side_of
+from .exactnum import Rational, Side, UsageError, decimal_str, side_of
 
 # optional integer part, optional fraction part, at least one digit, no sign
 # or exponent ("3", "3.14", ".5"; not "", ".", "3.", "1e3")
 _DECIMAL_RE = re.compile(r"^(\d+)?(?:\.(\d+))?$")
 
 
-class MalformedDecimal(ValueError):
+class MalformedDecimal(UsageError):
     """Input string is not a plain decimal literal."""
 
 
-class NonPositiveValue(ValueError):
+class NonPositiveValue(UsageError):
     """Value must be strictly positive."""
 
 
@@ -184,7 +184,7 @@ def certified_rational_bounds(k: int, digits: int, den_cap: int,
     increase, so the last eligible candidate wins.
     """
     if den_cap < 1:
-        raise ValueError("den_cap must be >= 1")
+        raise UsageError("den_cap must be >= 1")
     bounds = polygon.bounds_at(k, digits, max_precision)
     lower_exp = _expansion(bounds, digits, "lower", den_cap)
     upper_exp = _expansion(bounds, digits, "upper", den_cap)

@@ -23,6 +23,13 @@ Rational = Fraction
 PI_REFERENCE = Rational(3141592653589, 10**12)
 
 
+class UsageError(ValueError):
+    """Invalid input from the caller: the base of every argument error.
+
+    Only these map to the CLI's exit 2; any other ValueError is a fault.
+    """
+
+
 class DivisionByZeroInterval(ZeroDivisionError):
     """Raised when an interval divisor encloses zero."""
 

@@ -34,6 +34,9 @@ its last rung.
 
 The module also builds and evaluates the nested-radical closed forms
 n * sqrt(2 - sqrt(2 + ... sqrt(3)))/2 that the doubling produces for each n.
+A tower is stored flat, as the tuple of its signs from the outermost
+sqrt(2 +/- ...) inwards, with () for sqrt(3) itself; so rendering, parsing,
+evaluating, comparing and hashing a tower all take one loop, at any depth.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from dataclasses import dataclass
 from .exactnum import (
     Interval,
     Rational,
+    UsageError,
     ceil_div,
     interval_add,
     interval_div,
@@ -69,7 +73,7 @@ class ResourceLimit(RuntimeError):
     """Precision escalation exceeded the configured maximum."""
 
 
-class UnsupportedSideCount(ValueError):
+class UnsupportedSideCount(UsageError):
     """Side count is not of the form 3 * 2**k."""
 
 
@@ -175,9 +179,9 @@ def ladder(max_k: int, digits: int,
     pass whose precision would exceed max_precision.
     """
     if max_k < 0:
-        raise ValueError("doubling count must be >= 0")
+        raise UsageError("doubling count must be >= 0")
     if digits < 1:
-        raise ValueError("digits must be >= 1")
+        raise UsageError("digits must be >= 1")
     precision = digits + 10 + max_k
     while True:
         if precision > max_precision:
@@ -210,63 +214,37 @@ def bounds_at(k: int, digits: int,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Radical:
-    """One node of a radical tower: the sqrt(3) leaf, or sqrt(2 +/- child).
-
-    ``sign`` is "+" or "-" for a sqrt(2 +/- child) node and None for the leaf.
-    """
-
-    sign: str | None = None
-    child: Radical | None = None
-
-    def __post_init__(self) -> None:
-        if self.sign is None:
-            if self.child is not None:
-                raise ValueError("leaf node cannot have a child")
-        elif self.sign not in ("+", "-") or self.child is None:
-            raise ValueError("inner node needs sign '+'/'-' and a child")
-
-
-@dataclass(frozen=True)
 class RadicalExpr:
     """multiplier * numerator / denominator, all parts exact.
 
-    ``numerator`` is a radical tower or None (meaning 1); ``denominator`` is
-    the integer 1 or 2, or a sqrt(2 + ...) tower.
+    A tower is the tuple of its signs, outermost first: ``()`` is sqrt(3),
+    ``("-", "+")`` is sqrt(2 - sqrt(2 + sqrt(3))).  ``numerator`` is a tower
+    or None (meaning 1); ``denominator`` is the integer 1 or 2, or a tower.
     """
 
     multiplier: int
-    numerator: Radical | None
-    denominator: Radical | int
+    numerator: tuple[str, ...] | None
+    denominator: tuple[str, ...] | int
+
+    def __post_init__(self) -> None:
+        for tower in (self.numerator, self.denominator):
+            if isinstance(tower, tuple) and not set(tower) <= {"+", "-"}:
+                raise ValueError("tower signs must be '+' or '-'")
 
     def render(self) -> str:
         parts = [str(self.multiplier)]
         if self.numerator is not None:
-            if self.numerator.sign is not None:
+            if self.numerator:
                 parts.append(_DOT)
-            parts.append(_render_tree(self.numerator))
-        if isinstance(self.denominator, Radical):
-            parts.append("/" + _render_tree(self.denominator))
+            parts.append(_render_tower(self.numerator))
+        if isinstance(self.denominator, tuple):
+            parts.append("/" + _render_tower(self.denominator))
         elif self.denominator != 1:
             parts.append("/" + str(self.denominator))
         return "".join(parts)
 
 
-def _signs(r: Radical) -> list[str]:
-    """Signs of a tower from the outermost sqrt(2 +/- ...) down to the leaf.
-
-    A tower is a linear chain, so it is walked in a loop: recursing once per
-    level would hit Python's recursion limit near k = 1000.
-    """
-    signs = []
-    while r.sign is not None:
-        signs.append(r.sign)
-        r = r.child
-    return signs
-
-
-def _render_tree(r: Radical) -> str:
-    signs = _signs(r)
+def _render_tower(signs: tuple[str, ...]) -> str:
     opens = "".join(f"{_SQRT}(2{'+' if sign == '+' else _MINUS}" for sign in signs)
     return f"{opens}{_SQRT}3{')' * len(signs)}"
 
@@ -287,7 +265,7 @@ def parse_radical_expr(text: str) -> RadicalExpr:
             raise error(f"expected digits at position {start}")
         return int(text[start:pos])
 
-    def parse_tree() -> Radical:
+    def parse_tower() -> tuple[str, ...]:
         nonlocal pos
         signs = []
         while True:
@@ -304,26 +282,24 @@ def parse_radical_expr(text: str) -> RadicalExpr:
                 raise error(f"expected sign at position {pos}")
             signs.append("+" if text[pos] == "+" else "-")
             pos += 1
-        tree = Radical()
-        for sign in reversed(signs):
+        for _ in signs:
             if not text.startswith(")", pos):
                 raise error(f"expected ')' at position {pos}")
             pos += 1
-            tree = Radical(sign, tree)
-        return tree
+        return tuple(signs)
 
     multiplier = parse_int()
     numerator = None
     if text.startswith(_DOT, pos):
         pos += 1
-        numerator = parse_tree()
+        numerator = parse_tower()
     elif text.startswith(_SQRT, pos):
-        numerator = parse_tree()
-    denominator: Radical | int = 1
+        numerator = parse_tower()
+    denominator: tuple[str, ...] | int = 1
     if text.startswith("/", pos):
         pos += 1
         if text.startswith(_SQRT, pos):
-            denominator = parse_tree()
+            denominator = parse_tower()
         else:
             denominator = parse_int()
     if pos != len(text):
@@ -342,24 +318,22 @@ def nested_radical_form(n: int, which: str) -> RadicalExpr:
     k = _doubling_index(n)
     if k == 0:
         if which == "c":
-            return RadicalExpr(3, Radical(), 2)      # 3*sqrt(3)/2
-        return RadicalExpr(3, Radical(), 1)          # 3*sqrt(3)
+            return RadicalExpr(3, (), 2)             # 3*sqrt(3)/2
+        return RadicalExpr(3, (), 1)                 # 3*sqrt(3)
     if k == 1:
         if which == "c":
             return RadicalExpr(3, None, 1)           # 3
-        return RadicalExpr(2, Radical(), 1)          # 2*sqrt(3)
-    inner = Radical()
-    for _ in range(k - 2):
-        inner = Radical("+", inner)
+        return RadicalExpr(2, (), 1)                 # 2*sqrt(3)
+    inner = ("+",) * (k - 2)
     if which == "c":
-        return RadicalExpr(n, Radical("-", inner), 2)
-    return RadicalExpr(n, Radical("-", inner), Radical("+", inner))
+        return RadicalExpr(n, ("-", *inner), 2)
+    return RadicalExpr(n, ("-", *inner), ("+", *inner))
 
 
-def _eval_tree(r: Radical, precision: int) -> Interval:
+def _eval_tower(signs: tuple[str, ...], precision: int) -> Interval:
     two = make_interval(2, precision)
     value = interval_sqrt(make_interval(3, precision))
-    for sign in reversed(_signs(r)):
+    for sign in reversed(signs):
         inner = (interval_add(two, value) if sign == "+"
                  else interval_sub(two, value))
         value = interval_sqrt(inner)
@@ -370,9 +344,9 @@ def eval_radical(expr: RadicalExpr, precision: int) -> Interval:
     """Certified enclosure of a radical expression's value."""
     value = make_interval(expr.multiplier, precision)
     if expr.numerator is not None:
-        value = interval_mul(value, _eval_tree(expr.numerator, precision))
-    if isinstance(expr.denominator, Radical):
-        value = interval_div(value, _eval_tree(expr.denominator, precision))
+        value = interval_mul(value, _eval_tower(expr.numerator, precision))
+    if isinstance(expr.denominator, tuple):
+        value = interval_div(value, _eval_tower(expr.denominator, precision))
     elif expr.denominator != 1:
         value = interval_div(value, make_interval(expr.denominator, precision))
     return value

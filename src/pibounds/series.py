@@ -21,6 +21,7 @@ from .exactnum import (
     PI_REFERENCE,
     Interval,
     Rational,
+    UsageError,
     decimal_str,
     interval_add,
     interval_div,
@@ -32,11 +33,11 @@ from .exactnum import (
 SERIES_NAMES = ("leibniz", "nilakantha", "brouncker", "wallis", "viete")
 
 
-class UnsupportedSeriesName(ValueError):
+class UnsupportedSeriesName(UsageError):
     """Series tag is not one of SERIES_NAMES."""
 
 
-class InvalidTermCount(ValueError):
+class InvalidTermCount(UsageError):
     """Term count is out of range for the requested series."""
 
 
@@ -101,7 +102,7 @@ def evaluate_series(series: str, terms: int, precision: int) -> SeriesEstimate:
     if series not in SERIES_NAMES:
         raise UnsupportedSeriesName(f"unknown series {series!r}")
     if precision < 1:
-        raise ValueError("precision must be >= 1")
+        raise UsageError("precision must be >= 1")
     min_terms = 1 if series in ("leibniz", "viete") else 0
     if terms < min_terms:
         raise InvalidTermCount(

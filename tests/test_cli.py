@@ -9,7 +9,11 @@ import subprocess
 import sys
 import time
 
+import pytest
+
+from pibounds import polygon
 from pibounds.cli import main
+from pibounds.exactnum import NegativeRadicand
 
 
 def run_cli(*argv: str, capsys) -> tuple[int, str]:
@@ -232,6 +236,31 @@ class TestExitCodes:
 
     def test_negative_doublings_exit_2(self, capsys):
         assert main(["bounds", "--doublings", "-1"]) == 2
+
+    @pytest.mark.parametrize("argv,message", [
+        ("bounds --doublings -1", "doubling count must be >= 0"),
+        ("bounds --doublings 3 --digits 0", "digits must be >= 1"),
+        ("table --max-doublings 2 --digits 0", "digits must be >= 1"),
+        ("export-fig3 --max-doublings 2 --digits 0", "digits must be >= 1"),
+        ("approx --doublings 5 --den-cap 0", "den_cap must be >= 1"),
+        ("series --series leibniz --terms 3 --digits 0", "precision must be >= 1"),
+        ("series --series leibniz --terms 0", "n_max must be >= 1, got 0"),
+        ("cf --value 3.14.5", "not a plain positive decimal: '3.14.5'"),
+        ("cf --value 0", "value must be > 0, got '0'"),
+    ])
+    def test_bad_values_exit_2(self, argv, message, capsys):
+        assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_internal_fault_is_not_a_usage_error(self, monkeypatch):
+        """Only UsageError maps to exit 2; any other ValueError propagates."""
+        def faulty_ladder(*args):
+            raise NegativeRadicand("interval has negative lower endpoint")
+        monkeypatch.setattr(polygon, "ladder", faulty_ladder)
+        with pytest.raises(NegativeRadicand):
+            main(["table", "--max-doublings", "2"])
 
     def test_huge_table_fails_fast(self, capsys):
         """The precision a table needs is known before any rung is computed."""

@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import pibounds.polygon as polygon_module
 from pibounds.exactnum import (
@@ -26,7 +28,6 @@ from pibounds.exactnum import (
 from pibounds.polygon import (
     PolygonBounds,
     PrecisionExhausted,
-    Radical,
     RadicalExpr,
     ResourceLimit,
     UnsupportedSideCount,
@@ -66,6 +67,14 @@ KNOWN_FORMS = {
     (96, "c"): "96·√(2−√(2+√(2+√(2+√3))))/2",
     (96, "C"): "96·√(2−√(2+√(2+√(2+√3))))/√(2+√(2+√(2+√(2+√3))))",
 }
+
+
+towers = st.lists(st.sampled_from(["+", "-"]), max_size=60).map(tuple)
+radical_exprs = st.builds(
+    RadicalExpr,
+    multiplier=st.integers(min_value=1, max_value=10**6),
+    numerator=st.none() | towers,
+    denominator=st.integers(min_value=1, max_value=10**6) | towers)
 
 
 def as_fraction(decimal: str) -> Fraction:
@@ -424,6 +433,10 @@ class TestNestedRadicalForm:
         assert parse_radical_expr(text) == expr
         assert parse_radical_expr(text).render() == text
 
+    @given(expr=radical_exprs)
+    def test_random_render_parse_roundtrip(self, expr):
+        assert parse_radical_expr(expr.render()) == expr
+
     def test_parse_accepts_ascii_minus(self):
         assert (parse_radical_expr("12·√(2-√3)/2")
                 == nested_radical_form(12, "c"))
@@ -444,12 +457,13 @@ class TestNestedRadicalForm:
                 parse_radical_expr(text)
 
     def test_radical_node_validation(self):
+        # a bad sign, a missing inner tower, a leaf with a tower inside it
         with pytest.raises(ValueError):
-            Radical("*", Radical())
+            RadicalExpr(1, ("*",), 1)
         with pytest.raises(ValueError):
-            Radical("+", None)
+            RadicalExpr(1, ("+", None), 1)
         with pytest.raises(ValueError):
-            Radical(None, Radical())
+            RadicalExpr(1, None, (None, "+"))
 
 
 class TestEvalRadical:
@@ -478,20 +492,25 @@ class TestEvalRadical:
         assert loose.overlaps(bounds_at(5, 10).lower)
 
     def test_deep_tower_k1500(self):
-        """Render, parse and evaluate a tower far deeper than the call stack."""
+        """Render, parse, compare, hash and evaluate a tower far deeper than
+        the call stack."""
         n = 3 * 2**1500
         for which in ("c", "C"):
             expr = nested_radical_form(n, which)
             text = expr.render()
             assert text.count("√") == (3000 if which == "C" else 1500)
-            assert parse_radical_expr(text).render() == text
-            iv = eval_radical(parse_radical_expr(text), 1200)
+            parsed = parse_radical_expr(text)
+            assert parsed.render() == text
+            assert parsed == expr
+            assert hash(parsed) == hash(expr)
+            assert repr(parsed)
+            iv = eval_radical(parsed, 1200)
             # c_n and C_n are within 10**-900 of pi here
             assert PI_REFERENCE <= iv.lo_rational
             assert iv.hi_rational <= PI_REFERENCE + Fraction(1, 10**12)
 
     def test_sqrt3_leaf(self):
-        iv = eval_radical(RadicalExpr(1, Radical(), 1), 12)
+        iv = eval_radical(RadicalExpr(1, (), 1), 12)
         assert iv.lo_rational ** 2 <= 3 <= iv.hi_rational ** 2
 
 
