@@ -11,16 +11,21 @@ Exit codes: 0 success, 2 argument error, 3 precision/resource failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from . import contfrac, polygon, series
-from .exactnum import PI_REFERENCE, Interval, Rational, UsageError, decimal_str
+from .exactnum import (PI_REFERENCE, Interval, PiBoundsError, Rational,
+                       UsageError, decimal_str)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PRECISION = 3
 EXIT_NO_BOUND = 4
+EXIT_CODES = {UsageError: EXIT_USAGE, polygon.PrecisionExhausted: EXIT_PRECISION,
+              polygon.ResourceLimit: EXIT_PRECISION,
+              contfrac.NoValidBound: EXIT_NO_BOUND}
 
 
 def _cells(bounds: polygon.PolygonBounds, digits: int) -> tuple[str, str, str, str]:
@@ -222,14 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", type=int, default=8)
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     add_precision_flag(p)
-    p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("table", help="closed forms and values for k = 0..K")
     p.add_argument("--max-doublings", type=int, required=True)
     p.add_argument("--digits", type=int, default=8)
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     add_precision_flag(p)
-    p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("cf", help="continued fraction expansion and convergents")
     source = p.add_mutually_exclusive_group(required=True)
@@ -239,48 +242,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--doublings", type=int, default=5)
     p.add_argument("--digits", type=int, default=8)
     add_precision_flag(p)
-    p.set_defaults(func=cmd_cf)
 
     p = sub.add_parser("approx", help="certified rational bracket of pi")
     p.add_argument("--doublings", type=int, required=True)
     p.add_argument("--digits", type=int, default=8)
     p.add_argument("--den-cap", type=int, default=100)
     add_precision_flag(p)
-    p.set_defaults(func=cmd_approx)
 
     p = sub.add_parser("series", help="classical series estimates of pi")
     p.add_argument("--series", choices=series.SERIES_NAMES, required=True)
     p.add_argument("--terms", type=int, required=True)
     p.add_argument("--digits", type=int, default=8)
-    p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("export-fig3",
                        help="CSV of enclosures per n plus reference constants")
     p.add_argument("--max-doublings", type=int, required=True)
     p.add_argument("--digits", type=int, default=8)
     add_precision_flag(p)
-    p.set_defaults(func=cmd_export_fig3)
 
     return parser
 
 
+# Built once: a parser is hundreds of objects in reference cycles, and one per
+# call set off a full collection (milliseconds) every few hundred calls.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        args.func(args)
-    except UsageError as exc:
+        # each subcommand names its handler: export-fig3 runs cmd_export_fig3
+        globals()["cmd_" + args.command.replace("-", "_")](args)
+    except PiBoundsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (polygon.PrecisionExhausted, polygon.ResourceLimit) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECISION
-    except contfrac.NoValidBound as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_BOUND
+        return next(c for cls, c in EXIT_CODES.items() if isinstance(exc, cls))
     return EXIT_OK
 
 

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 
 from . import polygon
-from .exactnum import Rational, Side, UsageError, decimal_str, side_of
+from .exactnum import PiBoundsError, Rational, Side, UsageError, decimal_str, side_of
 
 # optional integer part, optional fraction part, at least one digit, no sign
 # or exponent ("3", "3.14", ".5"; not "", ".", "3.", "1e3")
@@ -28,7 +28,7 @@ class NonPositiveValue(UsageError):
     """Value must be strictly positive."""
 
 
-class NoValidBound(LookupError):
+class NoValidBound(PiBoundsError, LookupError):
     """No convergent under the denominator cap is certified on the needed side."""
 
 

@@ -23,7 +23,11 @@ Rational = Fraction
 PI_REFERENCE = Rational(3141592653589, 10**12)
 
 
-class UsageError(ValueError):
+class PiBoundsError(Exception):
+    """Root of the reported errors; faults such as NegativeRadicand stay out."""
+
+
+class UsageError(PiBoundsError, ValueError):
     """Invalid input from the caller: the base of every argument error.
 
     Only these map to the CLI's exit 2; any other ValueError is a fault.

@@ -20,13 +20,13 @@ direct form is kept as `sine_from_cosine` for cross-checking at small depth.
 
 Every step is monotone on positive inputs: sqrt((1 + cos)/2) increases with
 cos, sin/(2 cos') increases with sin and decreases with cos', n*sin is exact
-and c_n/cos increases with c_n and decreases with cos.  So `halve_angle` and `perimeters` work on the raw
-mantissas at scale 10**p and round each endpoint once, in its own direction,
-instead of taking the four corners of a generic interval division (Moore,
-Kearfott & Cloud, *Introduction to Interval Analysis*, 2009).  The halving
-is folded into the square-root argument, which leaves two long divisions per
-rung and one per perimeter.  The positivity checks that raise
-`PrecisionExhausted` are what make these directions valid.
+and c_n/cos increases with c_n and decreases with cos.  So `halve_angle` and
+`perimeters` work on the raw mantissas at scale 10**p and round each endpoint
+once, in its own direction, instead of taking the four corners of a generic
+interval division (Moore, Kearfott & Cloud, *Introduction to Interval
+Analysis*, 2009).  The halving is folded into the square-root argument, which
+leaves two long divisions per rung and one per perimeter.  The positivity
+checks that raise `PrecisionExhausted` are what make these directions valid.
 
 `ladder` is the one routine that runs the recurrence: one pass from the
 seed yields the certified bounds of every rung k = 0..K, and `bounds_at` is
@@ -46,6 +46,7 @@ from dataclasses import dataclass
 
 from .exactnum import (
     Interval,
+    PiBoundsError,
     Rational,
     UsageError,
     ceil_div,
@@ -65,11 +66,11 @@ _MINUS = "−"  # true minus sign
 _DOT = "·"    # multiplication dot
 
 
-class PrecisionExhausted(ArithmeticError):
+class PrecisionExhausted(PiBoundsError, ArithmeticError):
     """An intermediate enclosure degenerated (e.g. a cosine bound hit zero)."""
 
 
-class ResourceLimit(RuntimeError):
+class ResourceLimit(PiBoundsError, RuntimeError):
     """Precision escalation exceeded the configured maximum."""
 
 

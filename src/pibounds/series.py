@@ -1,21 +1,26 @@
-"""Classical formulas for pi, evaluated exactly.
+"""Classical formulas for pi, evaluated exactly in one pass per series.
 
 Five truncation families, each converted to a pi estimate:
 
-  leibniz      pi/4 = 1 - 1/3 + 1/5 - 1/7 + ...            (N summands)
-  nilakantha   pi/4 = 3/4 + 1/(2*3*4) - 1/(4*5*6) + ...    (3/4 counts as term 1)
-  brouncker    4/pi = 1 + 1^2/(2 + 3^2/(2 + 5^2/(2 + ...)))  (N nested levels)
-  wallis       pi/2 = (2/1 * 2/3) * (4/3 * 4/5) * ...      (N two-factor groups)
-  viete        2/pi = (sqrt(2)/2) * (sqrt(2+sqrt(2))/2) * ...  (N radical factors)
+  leibniz      pi/4 = 1 - 1/3 + 1/5 - 1/7 + ...          (N summands)
+  nilakantha   pi/4 = 3/4 + 1/(2*3*4) - 1/(4*5*6) + ...  (3/4 is term 1)
+  brouncker    4/pi = 1 + 1^2/(2 + 3^2/(2 + 5^2/(2 + ...)))  (N levels)
+  wallis       pi/2 = (2/1 * 2/3) * (4/3 * 4/5) * ...    (N factor pairs)
+  viete        2/pi = (sqrt(2)/2) * (sqrt(2+sqrt(2))/2) * ...  (N factors)
 
-The first four truncations are rational, so they are evaluated in exact
-rational arithmetic with no rounding error at all.  Viete needs square roots
-and therefore returns a certified interval instead.
+Each formula is one generator of its estimates for N = 0, 1, 2, ...: row N
+extends the running sum, product or (for Brouncker) forward convergent of
+row N - 1 by one term, so `convergence_report` costs O(N) terms, not O(N^2).
+The first four truncations are rational and exact.  Viete needs square
+roots and returns a certified interval, equal to a from-scratch evaluation
+at that N because each row's product is a prefix of the next one's.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import count, islice
 
 from .exactnum import (
     PI_REFERENCE,
@@ -29,8 +34,6 @@ from .exactnum import (
     interval_sqrt,
     make_interval,
 )
-
-SERIES_NAMES = ("leibniz", "nilakantha", "brouncker", "wallis", "viete")
 
 
 class UnsupportedSeriesName(UsageError):
@@ -49,87 +52,89 @@ class SeriesEstimate:
     error_vs_reference: str
 
 
-def _leibniz(n: int) -> Rational:
+def _leibniz(precision: int) -> Iterator[Rational]:
     total = Rational(0)
-    for i in range(n):
+    for i in count():
+        yield 4 * total
         total += Rational((-1) ** i, 2 * i + 1)
-    return 4 * total
 
 
-def _nilakantha(n: int) -> Rational:
-    if n == 0:
-        return Rational(0)
-    total = Rational(3, 4)
-    for j in range(2, n + 1):
-        base = 2 * (j - 1)
-        term = Rational(1, base * (base + 1) * (base + 2))
-        total += term if j % 2 == 0 else -term
-    return 4 * total
+def _nilakantha(precision: int) -> Iterator[Rational]:
+    yield Rational(0)
+    total = Rational(3)
+    for j in count(1):
+        yield total
+        total += Rational(4 * (-1) ** (j + 1), 2 * j * (2 * j + 1) * (2 * j + 2))
 
 
-def _brouncker(n: int) -> Rational:
-    tail = Rational(0)
-    for i in range(n, 0, -1):
-        tail = Rational((2 * i - 1) ** 2) / (2 + tail)
-    return 4 / (1 + tail)
+def _brouncker(precision: int) -> Iterator[Rational]:
+    # convergents h_i / k_i of 1 + 1^2/(2 + 3^2/(2 + ...)); estimate 4 k / h
+    h_prev, h, k_prev, k = 1, 1, 0, 1
+    for i in count(1):
+        yield Rational(4 * k, h)
+        a = (2 * i - 1) ** 2
+        h_prev, h = h, 2 * h + a * h_prev
+        k_prev, k = k, 2 * k + a * k_prev
 
 
-def _wallis(n: int) -> Rational:
+def _wallis(precision: int) -> Iterator[Rational]:
     product = Rational(1)
-    for j in range(1, n + 1):
+    for j in count(1):
+        yield 2 * product
         product *= Rational(4 * j * j, 4 * j * j - 1)
-    return 2 * product
 
 
-def _viete(n: int, precision: int) -> Interval:
-    # product of the radical factors t_1 = sqrt(2), t_{j+1} = sqrt(2 + t_j);
-    # the estimate is 2 / prod(t_j / 2) = 2**(n+1) / prod(t_j)
-    two = make_interval(2, precision)
-    factor = interval_sqrt(two)
-    product = factor
-    for _ in range(n - 1):
+def _viete(precision: int) -> Iterator[Interval]:
+    # radical factors t_1 = sqrt(2 + 0), t_{j+1} = sqrt(2 + t_j); the estimate
+    # is 2 / prod(t_j / 2) = 2**(n+1) / prod(t_j), with the empty product 1
+    two, factor, product = (make_interval(v, precision) for v in (2, 0, 1))
+    for n in count():
+        yield interval_div(make_interval(2 ** (n + 1), precision), product)
         factor = interval_sqrt(interval_add(two, factor))
         product = interval_mul(product, factor)
-    return interval_div(make_interval(2 ** (n + 1), precision), product)
+
+
+_PASSES = {"leibniz": _leibniz, "nilakantha": _nilakantha,
+           "brouncker": _brouncker, "wallis": _wallis, "viete": _viete}
+SERIES_NAMES = tuple(_PASSES)
+
+
+def _rows(series: str, first: int, last: int, precision: int) -> list[SeriesEstimate]:
+    """Rows N = first..last of one pass over ``series``, inputs checked first."""
+    if series not in _PASSES:
+        raise UnsupportedSeriesName(f"unknown series {series!r}")
+    if precision < 1:
+        raise UsageError("precision must be >= 1")
+    min_terms = 1 if series in ("leibniz", "viete") else 0
+    if first < min_terms:
+        raise InvalidTermCount(f"{series} needs terms >= {min_terms}, got {first}")
+    rows = islice(_PASSES[series](precision), first, last + 1)
+    report = []
+    for n, estimate in enumerate(rows, first):
+        value = estimate.midpoint() if isinstance(estimate, Interval) else estimate
+        diff = value - PI_REFERENCE
+        error = ("+" if diff >= 0 else "-") + decimal_str(abs(diff), precision)
+        report.append(SeriesEstimate(series, n, estimate, error))
+    return report
 
 
 def evaluate_series(series: str, terms: int, precision: int) -> SeriesEstimate:
     """Exact truncation of one series, converted to a pi estimate.
 
-    ``precision`` sets the Viete interval scale and the number of digits in
-    the reported error; the rational series are exact regardless.
+    This is row ``terms`` of the series' pass.  ``precision`` sets the Viete
+    interval scale and the number of digits in the reported error; the
+    rational series are exact regardless.
     """
-    if series not in SERIES_NAMES:
-        raise UnsupportedSeriesName(f"unknown series {series!r}")
-    if precision < 1:
-        raise UsageError("precision must be >= 1")
-    min_terms = 1 if series in ("leibniz", "viete") else 0
-    if terms < min_terms:
-        raise InvalidTermCount(
-            f"{series} needs terms >= {min_terms}, got {terms}")
-    estimate: Rational | Interval
-    if series == "leibniz":
-        estimate = _leibniz(terms)
-    elif series == "nilakantha":
-        estimate = _nilakantha(terms)
-    elif series == "brouncker":
-        estimate = _brouncker(terms)
-    elif series == "wallis":
-        estimate = _wallis(terms)
-    else:
-        estimate = _viete(terms, precision)
-    value = estimate.midpoint() if isinstance(estimate, Interval) else estimate
-    diff = value - PI_REFERENCE
-    error = ("+" if diff >= 0 else "-") + decimal_str(abs(diff), precision)
-    return SeriesEstimate(series=series, terms=terms, estimate=estimate,
-                          error_vs_reference=error)
+    return _rows(series, terms, terms, precision)[0]
 
 
 def convergence_report(series_list: list[str], n_max: int,
                        precision: int) -> list[SeriesEstimate]:
-    """One row per (series, N) for N = 1..n_max, in the given series order."""
+    """One row per (series, N) for N = 1..n_max, in the given series order.
+
+    Each series is one pass, in which row N extends row N - 1 by one term.
+    """
     if n_max < 1:
         raise InvalidTermCount(f"n_max must be >= 1, got {n_max}")
-    return [evaluate_series(series, n, precision)
-            for series in series_list
-            for n in range(1, n_max + 1)]
+    return [row for series in series_list
+            for row in _rows(series, 1, n_max, precision)]

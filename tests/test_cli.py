@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import subprocess
@@ -11,9 +12,15 @@ import time
 
 import pytest
 
-from pibounds import polygon
-from pibounds.cli import main
-from pibounds.exactnum import NegativeRadicand
+import pibounds
+from pibounds import cli, contfrac, polygon
+from pibounds.cli import EXIT_CODES, main
+from pibounds.exactnum import (
+    DivisionByZeroInterval,
+    NegativeRadicand,
+    PiBoundsError,
+    UsageError,
+)
 
 
 def run_cli(*argv: str, capsys) -> tuple[int, str]:
@@ -245,6 +252,7 @@ class TestExitCodes:
         ("approx --doublings 5 --den-cap 0", "den_cap must be >= 1"),
         ("series --series leibniz --terms 3 --digits 0", "precision must be >= 1"),
         ("series --series leibniz --terms 0", "n_max must be >= 1, got 0"),
+        ("series --series leibniz --terms 0 --digits 0", "n_max must be >= 1, got 0"),
         ("cf --value 3.14.5", "not a plain positive decimal: '3.14.5'"),
         ("cf --value 0", "value must be > 0, got '0'"),
     ])
@@ -253,6 +261,24 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("cls,base,code", [
+        (UsageError, ValueError, 2),
+        (polygon.PrecisionExhausted, ArithmeticError, 3),
+        (polygon.ResourceLimit, RuntimeError, 3),
+        (contfrac.NoValidBound, LookupError, 4),
+    ])
+    def test_error_root(self, cls, base, code):
+        """Each reported error sits under PiBoundsError and keeps its stdlib base."""
+        assert issubclass(cls, PiBoundsError) and issubclass(cls, base)
+        assert EXIT_CODES[cls] == code
+
+    def test_error_root_is_exported_and_excludes_faults(self):
+        assert pibounds.PiBoundsError is PiBoundsError
+        assert "PiBoundsError" in pibounds.__all__
+        assert set(PiBoundsError.__subclasses__()) == set(EXIT_CODES)
+        for fault in (NegativeRadicand, DivisionByZeroInterval):
+            assert not issubclass(fault, PiBoundsError)
 
     def test_internal_fault_is_not_a_usage_error(self, monkeypatch):
         """Only UsageError maps to exit 2; any other ValueError propagates."""
@@ -275,6 +301,49 @@ class TestExitCodes:
                             "--digits", "8", "--max-precision", "25",
                             capsys=capsys)
         assert code == 3 and out == ""
+
+
+class TestSharedParser:
+    ARGVS = (("bounds", "--doublings", "5", "--format", "json"),
+             ("table", "--max-doublings", "4", "--format", "text"),
+             ("export-fig3", "--max-doublings", "3"),
+             ("approx", "--doublings", "5"),
+             ("cf", "--from-bound", "upper", "--doublings", "4"),
+             ("cf", "--value", "3.14159"),
+             ("series", "--series", "viete", "--terms", "5"))
+
+    def test_requests_leave_no_cyclic_garbage(self, capsys):
+        """Nothing a request leaves behind waits for the cyclic collector.
+
+        A parser built per call left hundreds of objects in cycles, and the
+        collections they set off were pauses inside later requests.
+        """
+        for argv in self.ARGVS:
+            main(list(argv))
+        gc.collect()
+        gc.disable()
+        try:
+            for argv in self.ARGVS:
+                assert main(list(argv)) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_errors_leave_the_parser_usable(self, capsys):
+        first = run_cli(*self.ARGVS[1], capsys=capsys)
+        assert main(["table", "--max-doublings", "x"]) == 2
+        assert main(["table"]) == 2
+        assert main(["cf", "--value", "3", "--from-bound", "upper"]) == 2
+        capsys.readouterr()
+        assert run_cli(*self.ARGVS[1], capsys=capsys) == first
+
+    def test_handler_is_looked_up_per_call(self, monkeypatch, capsys):
+        """A cmd_* function replaced after the parser was built is the one
+        that runs, as span tracing (bench/tracing.py) needs."""
+        main(["bounds", "--doublings", "1"])
+        monkeypatch.setattr(cli, "cmd_bounds", lambda args: print("patched"))
+        capsys.readouterr()
+        assert run_cli("bounds", "--doublings", "1", capsys=capsys) == (0, "patched\n")
 
 
 class TestDeterminism:

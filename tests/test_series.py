@@ -6,11 +6,23 @@ from fractions import Fraction
 
 import pytest
 
-from pibounds.exactnum import PI_REFERENCE, Interval
+from pibounds import series as series_module
+from pibounds.exactnum import (
+    PI_REFERENCE,
+    Interval,
+    UsageError,
+    decimal_str,
+    interval_add,
+    interval_div,
+    interval_mul,
+    interval_sqrt,
+    make_interval,
+)
 from pibounds.polygon import bounds_at
 from pibounds.series import (
     SERIES_NAMES,
     InvalidTermCount,
+    SeriesEstimate,
     UnsupportedSeriesName,
     convergence_report,
     evaluate_series,
@@ -19,6 +31,97 @@ from pibounds.series import (
 
 def est(series: str, terms: int, precision: int = 8):
     return evaluate_series(series, terms, precision).estimate
+
+
+# From-scratch reference evaluators: each call restarts its sum, product or
+# radical tower from the first term, and Brouncker folds bottom-up.
+
+
+def ref_leibniz(n: int) -> Fraction:
+    total = Fraction(0)
+    for i in range(n):
+        total += Fraction((-1) ** i, 2 * i + 1)
+    return 4 * total
+
+
+def ref_nilakantha(n: int) -> Fraction:
+    if n == 0:
+        return Fraction(0)
+    total = Fraction(3, 4)
+    for j in range(2, n + 1):
+        base = 2 * (j - 1)
+        term = Fraction(1, base * (base + 1) * (base + 2))
+        total += term if j % 2 == 0 else -term
+    return 4 * total
+
+
+def ref_brouncker(n: int) -> Fraction:
+    tail = Fraction(0)
+    for i in range(n, 0, -1):
+        tail = Fraction((2 * i - 1) ** 2) / (2 + tail)
+    return 4 / (1 + tail)
+
+
+def ref_wallis(n: int) -> Fraction:
+    product = Fraction(1)
+    for j in range(1, n + 1):
+        product *= Fraction(4 * j * j, 4 * j * j - 1)
+    return 2 * product
+
+
+def ref_viete(n: int, precision: int) -> Interval:
+    two = make_interval(2, precision)
+    factor = interval_sqrt(two)
+    product = factor
+    for _ in range(n - 1):
+        factor = interval_sqrt(interval_add(two, factor))
+        product = interval_mul(product, factor)
+    return interval_div(make_interval(2 ** (n + 1), precision), product)
+
+
+def ref_row(series: str, terms: int, precision: int) -> SeriesEstimate:
+    if series == "viete":
+        estimate = ref_viete(terms, precision)
+        value = estimate.midpoint()
+    else:
+        evaluate = {"leibniz": ref_leibniz, "nilakantha": ref_nilakantha,
+                    "brouncker": ref_brouncker, "wallis": ref_wallis}[series]
+        estimate = value = evaluate(terms)
+    diff = value - PI_REFERENCE
+    error = ("+" if diff >= 0 else "-") + decimal_str(abs(diff), precision)
+    return SeriesEstimate(series, terms, estimate, error)
+
+
+class TestSinglePass:
+    @pytest.mark.parametrize("precision", [1, 12, 200])
+    def test_report_matches_from_scratch_reference(self, precision):
+        rows = convergence_report(list(SERIES_NAMES), 60, precision)
+        expected = [ref_row(name, n, precision)
+                    for name in SERIES_NAMES for n in range(1, 61)]
+        # Interval equality compares the mantissas and the scale
+        assert len(rows) == 300
+        assert rows == expected
+
+    @pytest.mark.parametrize("name,terms", [
+        *((name, 0) for name in ("nilakantha", "brouncker", "wallis")),
+        *((name, n) for name in SERIES_NAMES for n in (1, 7, 120))])
+    @pytest.mark.parametrize("precision", [1, 12, 200])
+    def test_evaluate_series_is_reference_row(self, name, terms, precision):
+        assert evaluate_series(name, terms, precision) == ref_row(name, terms, precision)
+
+    def test_viete_report_does_linear_work(self, monkeypatch):
+        """One pass: N rows take N square roots, not N(N+1)/2."""
+        calls = 0
+
+        def counting_sqrt(a):
+            nonlocal calls
+            calls += 1
+            return interval_sqrt(a)
+
+        monkeypatch.setattr(series_module, "interval_sqrt", counting_sqrt)
+        rows = convergence_report(["viete"], 200, 50)
+        assert len(rows) == 200
+        assert calls <= 201
 
 
 class TestRationalSeries:
@@ -120,6 +223,15 @@ class TestValidation:
     def test_bad_precision(self):
         with pytest.raises(ValueError):
             evaluate_series("leibniz", 3, 0)
+
+    def test_check_order(self):
+        """Series name first, then precision, then term count."""
+        with pytest.raises(UnsupportedSeriesName):
+            evaluate_series("machin", -1, 0)
+        with pytest.raises(UsageError, match="precision must be >= 1"):
+            evaluate_series("leibniz", 0, 0)
+        with pytest.raises(InvalidTermCount, match="viete needs terms >= 1, got 0"):
+            evaluate_series("viete", 0, 8)
 
 
 class TestConvergenceReport:
