@@ -34,7 +34,7 @@ def _cells(bounds: polygon.PolygonBounds, digits: int) -> tuple[str, str, str, s
             *bounds.upper.decimal_bounds(digits))
 
 
-def _fraction(q: Rational) -> str:
+def _fraction(q: Rational | contfrac.Convergent) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
@@ -114,9 +114,10 @@ def cmd_table(args: argparse.Namespace) -> None:
 def _print_convergents(convs: list[contfrac.Convergent],
                        verdicts: list[str] | None = None) -> None:
     print("convergents:")
-    width = max(len(_fraction(c.value)) for c in convs)
-    for i, conv in enumerate(convs):
-        line = f"  {conv.index}: {_fraction(conv.value).ljust(width)}"
+    texts = [_fraction(c) for c in convs]
+    width = max(map(len, texts))
+    for i, (conv, text) in enumerate(zip(convs, texts)):
+        line = f"  {conv.index}: {text.ljust(width)}"
         if verdicts is not None:
             line += f"  {verdicts[i]}"
         print(line.rstrip())
@@ -149,7 +150,7 @@ def _candidate_summary(exp: contfrac.BoundExpansion) -> str:
     parts = []
     for cand in exp.candidates:
         note = "" if cand.within_cap else " (over cap)"
-        parts.append(f"{_fraction(cand.convergent.value)} "
+        parts.append(f"{_fraction(cand.convergent)} "
                      f"{cand.verdict.value}{note}")
     return "; ".join(parts)
 
@@ -179,8 +180,8 @@ def _estimate_cell(est: Rational | Interval, digits: int) -> str:
 
 
 def cmd_series(args: argparse.Namespace) -> None:
-    rows = series.convergence_report([args.series], args.terms, args.digits)
-    for row in rows:
+    # rows print as the pass yields them, so only one exact row is alive
+    for row in series.iter_report([args.series], args.terms, args.digits):
         print(f"{row.series}  N={row.terms}  "
               f"{_estimate_cell(row.estimate, args.digits)}  "
               f"error={row.error_vs_reference}")

@@ -5,6 +5,12 @@ its convergents yields small-denominator fractions that can be *certified*
 against the perimeter enclosures: a convergent strictly below the inscribed
 perimeter is a proven lower bound for pi, one strictly above the circumscribed
 perimeter a proven upper bound.
+
+A convergent h_i/k_i is kept as its two integers.  They are coprime by
+construction, since h_i k_{i-1} - h_{i-1} k_i = (-1)**(i-1), so no gcd is
+needed to build one, and certifying it is integer cross-multiplication
+against the enclosure's mantissas (`exactnum.side_of`).  The Fraction
+``value`` is built only when read.
 """
 
 from __future__ import annotations
@@ -53,8 +59,15 @@ class ContinuedFraction:
 
 @dataclass(frozen=True)
 class Convergent:
-    value: Rational
+    """The ``index``-th convergent numerator/denominator, coprime, denominator >= 1."""
+
+    numerator: int
+    denominator: int
     index: int
+
+    @property
+    def value(self) -> Rational:
+        return Rational(self.numerator, self.denominator)
 
 
 def parse_decimal(text: str) -> Rational:
@@ -86,14 +99,15 @@ def expand(q: Rational) -> ContinuedFraction:
 
 
 def convergents(cf: ContinuedFraction) -> list[Convergent]:
-    """All convergents h_i/k_i via the standard forward recurrence."""
+    """All convergents h_i/k_i via the standard forward recurrence, as
+    coprime integer pairs (no gcd is taken)."""
     h_prev, h_prev2 = 1, 0   # h_{-1}, h_{-2}
     k_prev, k_prev2 = 0, 1   # k_{-1}, k_{-2}
     out = []
     for i, a in enumerate(cf.coeffs):
         h = a * h_prev + h_prev2
         k = a * k_prev + k_prev2
-        out.append(Convergent(Rational(h, k), i))
+        out.append(Convergent(h, k, i))
         h_prev2, h_prev = h_prev, h
         k_prev2, k_prev = k_prev, k
     return out
@@ -156,8 +170,7 @@ def _expansion(bounds: polygon.PolygonBounds, digits: int, which: str,
         decimal = enclosure.with_precision(digits).hi_rational
     cf = expand(decimal)
     candidates = tuple(
-        BoundCandidate(conv, side_of(conv.value, enclosure),
-                       conv.value.denominator <= den_cap)
+        BoundCandidate(conv, side_of(conv, enclosure), conv.denominator <= den_cap)
         for conv in convergents(cf))
     return BoundExpansion(which=which, n=bounds.n, digits=digits,
                           decimal=decimal, cf=cf, candidates=candidates)

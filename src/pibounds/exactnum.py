@@ -128,11 +128,11 @@ class Interval:
         return Rational(self.lo + self.hi, 2 * 10**self.precision)
 
     def contains(self, q: Rational | int) -> bool:
-        return self.lo_rational <= q <= self.hi_rational
+        return side_of(q, self) is Side.WITHIN
 
     def overlaps(self, other: Interval) -> bool:
-        return (self.lo_rational <= other.hi_rational
-                and other.lo_rational <= self.hi_rational)
+        a, b, _ = _aligned(self, other)
+        return a.lo <= b.hi and b.lo <= a.hi
 
     def with_precision(self, precision: int) -> Interval:
         """Re-scale to another decimal precision.
@@ -241,11 +241,19 @@ def side_of(q: Rational | int, iv: Interval) -> Side:
     """Certified comparison of an exact rational against an enclosure.
 
     BELOW means q < every point of iv (hence q is strictly less than whatever
-    value iv encloses); ABOVE the mirror image; WITHIN means undecided.
+    value iv encloses); ABOVE the mirror image; WITHIN means undecided, and
+    covers q equal to an endpoint.
+
+    The test is integer cross-multiplication: with q = n/d (d > 0) and the
+    endpoints m * 10**-p, q < lo exactly when n * 10**p < lo * d.  Only
+    ``q.numerator`` and ``q.denominator`` are read, so an int, a Fraction or
+    a contfrac.Convergent is compared without building a Fraction or taking
+    a gcd.
     """
-    q = Rational(q)
-    if q < iv.lo_rational:
+    scaled = q.numerator * 10**iv.precision
+    d = q.denominator
+    if scaled < iv.lo * d:
         return Side.BELOW
-    if q > iv.hi_rational:
+    if scaled > iv.hi * d:
         return Side.ABOVE
     return Side.WITHIN

@@ -10,7 +10,8 @@ Five truncation families, each converted to a pi estimate:
 
 Each formula is one generator of its estimates for N = 0, 1, 2, ...: row N
 extends the running sum, product or (for Brouncker) forward convergent of
-row N - 1 by one term, so `convergence_report` costs O(N) terms, not O(N^2).
+row N - 1 by one term, so `convergence_report` costs O(N) terms, not O(N^2),
+and `iter_report` hands the rows out one at a time as the pass makes them.
 The first four truncations are rational and exact.  Viete needs square
 roots and returns a certified interval, equal to a from-scratch evaluation
 at that N because each row's product is a prefix of the next one's.
@@ -99,8 +100,11 @@ _PASSES = {"leibniz": _leibniz, "nilakantha": _nilakantha,
 SERIES_NAMES = tuple(_PASSES)
 
 
-def _rows(series: str, first: int, last: int, precision: int) -> list[SeriesEstimate]:
-    """Rows N = first..last of one pass over ``series``, inputs checked first."""
+def _rows(series: str, first: int, precision: int) -> Iterator[SeriesEstimate]:
+    """Rows N = first, first + 1, ... of one pass over ``series``.
+
+    The inputs are checked when this is called; rows are computed as read.
+    """
     if series not in _PASSES:
         raise UnsupportedSeriesName(f"unknown series {series!r}")
     if precision < 1:
@@ -108,14 +112,15 @@ def _rows(series: str, first: int, last: int, precision: int) -> list[SeriesEsti
     min_terms = 1 if series in ("leibniz", "viete") else 0
     if first < min_terms:
         raise InvalidTermCount(f"{series} needs terms >= {min_terms}, got {first}")
-    rows = islice(_PASSES[series](precision), first, last + 1)
-    report = []
-    for n, estimate in enumerate(rows, first):
-        value = estimate.midpoint() if isinstance(estimate, Interval) else estimate
-        diff = value - PI_REFERENCE
-        error = ("+" if diff >= 0 else "-") + decimal_str(abs(diff), precision)
-        report.append(SeriesEstimate(series, n, estimate, error))
-    return report
+    estimates = islice(_PASSES[series](precision), first, None)
+    return (SeriesEstimate(series, n, estimate, _error(estimate, precision))
+            for n, estimate in enumerate(estimates, first))
+
+
+def _error(estimate: Rational | Interval, precision: int) -> str:
+    value = estimate.midpoint() if isinstance(estimate, Interval) else estimate
+    diff = value - PI_REFERENCE
+    return ("+" if diff >= 0 else "-") + decimal_str(abs(diff), precision)
 
 
 def evaluate_series(series: str, terms: int, precision: int) -> SeriesEstimate:
@@ -125,7 +130,20 @@ def evaluate_series(series: str, terms: int, precision: int) -> SeriesEstimate:
     interval scale and the number of digits in the reported error; the
     rational series are exact regardless.
     """
-    return _rows(series, terms, terms, precision)[0]
+    return next(_rows(series, terms, precision))
+
+
+def iter_report(series_list: list[str], n_max: int,
+                precision: int) -> Iterator[SeriesEstimate]:
+    """The rows of `convergence_report`, computed one at a time as read.
+
+    Every input is checked when this is called, before any row is made, so
+    a caller can print rows as they come and still fail before printing.
+    """
+    if n_max < 1:
+        raise InvalidTermCount(f"n_max must be >= 1, got {n_max}")
+    passes = [_rows(series, 1, precision) for series in series_list]
+    return (row for rows in passes for row in islice(rows, n_max))
 
 
 def convergence_report(series_list: list[str], n_max: int,
@@ -134,7 +152,4 @@ def convergence_report(series_list: list[str], n_max: int,
 
     Each series is one pass, in which row N extends row N - 1 by one term.
     """
-    if n_max < 1:
-        raise InvalidTermCount(f"n_max must be >= 1, got {n_max}")
-    return [row for series in series_list
-            for row in _rows(series, 1, n_max, precision)]
+    return list(iter_report(series_list, n_max, precision))

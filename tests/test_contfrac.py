@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -133,6 +134,14 @@ class TestConvergents:
         assert all(a < b for a, b in zip(dens[1:], dens[2:]))
         if len(dens) > 1:
             assert dens[0] <= dens[1]
+
+    @given(q=positive_rationals)
+    def test_coprime_integer_pairs(self, q):
+        for conv in convergents(expand(q)):
+            h, k = conv.numerator, conv.denominator
+            assert k >= 1 and math.gcd(h, k) == 1
+            assert conv.value == Fraction(h, k)
+            assert (conv.value.numerator, conv.value.denominator) == (h, k)
 
 
 class TestReconstruct:

@@ -29,6 +29,8 @@ from pibounds.exactnum import (
     make_interval,
     side_of,
 )
+from pibounds.contfrac import Convergent, bound_expansion
+from pibounds.polygon import bounds_at
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +73,18 @@ positive_rationals = st.fractions(min_value=Fraction(1, 10**6),
                                   max_value=Fraction(1000),
                                   max_denominator=10**6)
 precisions = st.integers(min_value=1, max_value=30)
+mantissas = st.integers(min_value=-10**12, max_value=10**12)
+
+
+def side_of_reference(q, iv: Interval) -> Side:
+    """side_of by exact Fraction comparison against the endpoints: the
+    reference the integer cross-multiplication must agree with."""
+    q = Fraction(q.numerator, q.denominator)
+    if q < iv.lo_rational:
+        return Side.BELOW
+    if q > iv.hi_rational:
+        return Side.ABOVE
+    return Side.WITHIN
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +253,49 @@ class TestSideOf:
             assert q > iv.hi_rational >= lo
         else:
             assert iv.lo_rational <= q <= iv.hi_rational
+
+    def test_endpoints_are_within(self):
+        iv = Interval(-31416, 31416, 4)
+        for q in (Fraction(-31416, 10**4), Fraction(31416, 10**4),
+                  Convergent(-3927, 1250, 0), Convergent(3927, 1250, 0)):
+            assert side_of(q, iv) is Side.WITHIN
+        point = Interval(20000, 20000, 4)
+        assert side_of(2, point) is Side.WITHIN
+        assert side_of(Fraction(19999, 10**4), point) is Side.BELOW
+        assert side_of(Fraction(20001, 10**4), point) is Side.ABOVE
+
+    @given(m1=mantissas, m2=mantissas, p=precisions, data=st.data())
+    def test_matches_fraction_reference(self, m1, m2, p, data):
+        lo, hi = sorted((m1, m2))
+        iv = Interval(lo, hi, p)
+        # q at an endpoint, or within a few units of 10**-p / scale of one
+        near = st.builds(lambda m, scale, step: Fraction(m * scale + step, 10**p * scale),
+                         st.sampled_from([lo, hi]), st.integers(1, 10**6),
+                         st.integers(-2, 2))
+        exact = st.one_of(st.integers(-10**6, 10**6), rationals, near)
+        q = data.draw(st.one_of(
+            exact,
+            exact.map(lambda f: Convergent(f.numerator, f.denominator, 0))))
+        assert side_of(q, iv) is side_of_reference(q, iv)
+        assert iv.contains(q) == (side_of_reference(q, iv) is Side.WITHIN)
+
+    @given(m1=mantissas, m2=mantissas, m3=mantissas, m4=mantissas,
+           p1=precisions, p2=precisions)
+    def test_overlaps_matches_fraction_reference(self, m1, m2, m3, m4, p1, p2):
+        a = Interval(*sorted((m1, m2)), p1)
+        b = Interval(*sorted((m3, m4)), p2)
+        expected = (a.lo_rational <= b.hi_rational
+                    and b.lo_rational <= a.hi_rational)
+        assert a.overlaps(b) == b.overlaps(a) == expected
+
+    @pytest.mark.parametrize("k,digits", [(41, 400), (120, 400)])
+    def test_deep_bound_expansion_matches_fraction_reference(self, k, digits):
+        bounds = bounds_at(k, digits)
+        for which, enclosure in (("lower", bounds.lower), ("upper", bounds.upper)):
+            exp = bound_expansion(k, digits, which)
+            assert len(exp.candidates) > 100
+            for cand in exp.candidates:
+                assert cand.verdict is side_of_reference(cand.convergent.value, enclosure)
 
 
 # ---------------------------------------------------------------------------

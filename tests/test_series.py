@@ -26,6 +26,7 @@ from pibounds.series import (
     UnsupportedSeriesName,
     convergence_report,
     evaluate_series,
+    iter_report,
 )
 
 
@@ -264,3 +265,14 @@ class TestConvergenceReport:
     def test_bad_n_max(self):
         with pytest.raises(InvalidTermCount):
             convergence_report(["leibniz"], 0, 8)
+
+    def test_iter_report_checks_every_input_then_yields_lazily(self):
+        with pytest.raises(InvalidTermCount, match="n_max"):
+            iter_report(["machin"], 0, 8)
+        with pytest.raises(UnsupportedSeriesName):
+            iter_report(["leibniz", "machin"], 3, 8)
+        with pytest.raises(UsageError, match="precision"):
+            iter_report(["leibniz"], 3, 0)
+        # a billion rows: only a lazy report gets to the first one
+        rows = iter_report(["leibniz", "wallis"], 10**9, 8)
+        assert next(rows) == convergence_report(["leibniz"], 1, 8)[0]
