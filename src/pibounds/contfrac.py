@@ -163,14 +163,22 @@ def _expansion(bounds: polygon.PolygonBounds, digits: int, which: str,
                den_cap: int) -> BoundExpansion:
     # round the decimal outward so it stays on the certified side of pi
     if which == "lower":
-        enclosure = bounds.lower
+        enclosure, parity, far_side = bounds.lower, 0, Side.BELOW
         decimal = enclosure.with_precision(digits).lo_rational
     else:
-        enclosure = bounds.upper
+        enclosure, parity, far_side = bounds.upper, 1, Side.ABOVE
         decimal = enclosure.with_precision(digits).hi_rational
     cf = expand(decimal)
+    # The convergents alternate around the decimal D, even indices below it
+    # and odd ones above, strictly except the last, which is D.  As D <= lo
+    # (lower) or D >= hi (upper), one on the far side of D is certified by
+    # its index parity alone; side_of decides the rest.
+    last = len(cf.coeffs) - 1
     candidates = tuple(
-        BoundCandidate(conv, side_of(conv, enclosure), conv.denominator <= den_cap)
+        BoundCandidate(conv,
+                       far_side if conv.index % 2 == parity and conv.index < last
+                       else side_of(conv, enclosure),
+                       conv.denominator <= den_cap)
         for conv in convergents(cf))
     return BoundExpansion(which=which, n=bounds.n, digits=digits,
                           decimal=decimal, cf=cf, candidates=candidates)

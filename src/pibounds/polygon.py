@@ -3,7 +3,7 @@
 For a circle of unit diameter the inscribed and circumscribed regular n-gons
 have perimeters
 
-    c_n = n * sin(180/n),        C_n = n * tan(180/n),
+    c_n = n * sin(180/n),        C_n = n * tan(180/n) = c_n / cos(180/n),
 
 and c_n < pi < C_n.  Restricting to n = 3 * 2**k, every needed cosine follows
 from cos(60 deg) = 1/2 through the half-angle identity
@@ -14,23 +14,26 @@ so the whole ladder runs on certified square roots alone.  No numeric angle is
 ever stored: an angle exists only as the label 180/n, because writing it in
 radians would smuggle in the very constant we are bounding.
 
-Sines are propagated with sin(x/2) = sin(x) / (2 cos(x/2)), which is exact and
-free of the cancellation that makes sqrt(1 - cos^2) collapse as cos -> 1.  The
-direct form is kept as `sine_from_cosine` for cross-checking at small depth.
+The state carries the inscribed perimeter, not the sine: since c_2n =
+2n sin(x/2) = n sin(x) / cos(x/2), a doubling is c_2n = c_n / cos(180/2n),
+free of the cancellation that makes sqrt(1 - cos^2) collapse as cos -> 1.
+Its relative error grows by a few units in the last place per rung, where
+n * sin would multiply the sine's error by n, so `ladder` needs only
+O(log K) guard digits.  Seeded at the 2-gon (cos 90 deg = 0, c_2 = 2) the
+same step is Viete's product, which `series` runs.
 
 Every step is monotone on positive inputs: sqrt((1 + cos)/2) increases with
-cos, sin/(2 cos') increases with sin and decreases with cos', n*sin is exact
-and c_n/cos increases with c_n and decreases with cos.  So `halve_angle` and
+cos, and c/cos increases with c and decreases with cos.  So `halve_angle` and
 `perimeters` work on the raw mantissas at scale 10**p and round each endpoint
 once, in its own direction, instead of taking the four corners of a generic
 interval division (Moore, Kearfott & Cloud, *Introduction to Interval
 Analysis*, 2009).  The halving is folded into the square-root argument, which
-leaves two long divisions per rung and one per perimeter.  The positivity
+leaves two long divisions for c_2n and two for C_n per rung.  The positivity
 checks that raise `PrecisionExhausted` are what make these directions valid.
 
-`ladder` is the one routine that runs the recurrence: one pass from the
-seed yields the certified bounds of every rung k = 0..K, and `bounds_at` is
-its last rung.
+`ladder` is the one routine that runs the polygon recurrence: one pass from
+the seed yields the certified bounds of every rung k = 0..K, and `bounds_at`
+is its last rung.
 
 The module also builds and evaluates the nested-radical closed forms
 n * sqrt(2 - sqrt(2 + ... sqrt(3)))/2 that the doubling produces for each n.
@@ -88,12 +91,16 @@ def _doubling_index(n: int) -> int:
 
 @dataclass(frozen=True)
 class AngleState:
-    """Certified cos/sin enclosures for the half-angle 180/n, n = 3 * 2**k."""
+    """Certified enclosures of cos(180/n) and of the inscribed perimeter c_n.
+
+    n = 3 * 2**k on the polygon ladder; Viete's product runs the same step
+    from n = 2.
+    """
 
     k: int
     n: int
     cos_enc: Interval
-    sin_enc: Interval
+    c_enc: Interval
     precision: int
 
 
@@ -107,12 +114,12 @@ class PolygonBounds:
 
 
 def seed_state(precision: int) -> AngleState:
-    """Starting triangle: cos(60 deg) = 1/2 exactly, sin(60 deg) = sqrt(3)/2."""
+    """Starting triangle: cos(60 deg) = 1/2 exactly, c_3 = sqrt(27/4)."""
     if precision < 1:
         raise ValueError("precision must be >= 1")
     cos_enc = make_interval(Rational(1, 2), precision)
-    sin_enc = interval_sqrt(make_interval(Rational(3, 4), precision))
-    return AngleState(k=0, n=3, cos_enc=cos_enc, sin_enc=sin_enc,
+    c_enc = interval_sqrt(make_interval(Rational(27, 4), precision))
+    return AngleState(k=0, n=3, cos_enc=cos_enc, c_enc=c_enc,
                       precision=precision)
 
 
@@ -120,8 +127,8 @@ def halve_angle(state: AngleState) -> AngleState:
     """One doubling step n -> 2n via the half-angle identity.
 
     With s = 10**p the new cosine is [isqrt((s + lo) * s/2),
-    isqrt_ceil((s + hi) * s/2)] (s is even, so s/2 is exact) and the new sine
-    is [sin.lo * s // (2 cos.hi), ceil(sin.hi * s / (2 cos.lo))].
+    isqrt_ceil((s + hi) * s/2)] (s is even, so s/2 is exact) and the new
+    perimeter c_2n = c_n / cos' is [c.lo * s // cos'.hi, ceil(c.hi * s / cos'.lo)].
     """
     p = state.precision
     s = 10**p
@@ -131,61 +138,48 @@ def halve_angle(state: AngleState) -> AngleState:
         raise PrecisionExhausted(
             f"cosine enclosure degenerated at n={2 * state.n}, precision={p}")
     cos_hi = isqrt_ceil((s + state.cos_enc.hi) * half)
-    sin_lo = state.sin_enc.lo * s // (2 * cos_hi)
-    if sin_lo <= 0:
-        raise PrecisionExhausted(
-            f"sine enclosure degenerated at n={2 * state.n}, precision={p}")
-    sin_hi = ceil_div(state.sin_enc.hi * s, 2 * cos_lo)
+    c = state.c_enc
     return AngleState(k=state.k + 1, n=2 * state.n,
                       cos_enc=Interval(cos_lo, cos_hi, p),
-                      sin_enc=Interval(sin_lo, sin_hi, p), precision=p)
-
-
-def sine_from_cosine(cos_enc: Interval) -> Interval:
-    """sin = sqrt(1 - cos^2): the direct identity, kept as a cross-check.
-
-    Not used in the ladder itself because of cancellation widening when
-    cos -> 1; see the module docstring.
-    """
-    one = make_interval(1, cos_enc.precision)
-    return interval_sqrt(interval_sub(one, interval_mul(cos_enc, cos_enc)))
+                      c_enc=Interval(c.lo * s // cos_hi, ceil_div(c.hi * s, cos_lo), p),
+                      precision=p)
 
 
 def perimeters(state: AngleState) -> PolygonBounds:
-    """c_n = n sin(180/n) and C_n = n tan(180/n), with tan taken as sin/cos.
-
-    c_n is n times the sine mantissas, exactly; C_n = c_n / cos rounds its
-    lower end down against cos.hi and its upper end up against cos.lo.
-    """
-    if state.cos_enc.lo <= 0 or state.sin_enc.lo <= 0:
+    """c_n as carried, and C_n = c_n / cos: its lower end rounded down
+    against cos.hi, its upper end up against cos.lo."""
+    cos, c = state.cos_enc, state.c_enc
+    if cos.lo <= 0 or c.lo <= 0:
         raise PrecisionExhausted(
-            f"cosine or sine enclosure not positive at n={state.n}")
-    p = state.precision
-    s = 10**p
-    c_lo, c_hi = state.n * state.sin_enc.lo, state.n * state.sin_enc.hi
+            f"cosine or perimeter enclosure not positive at n={state.n}")
+    s = 10**state.precision
     return PolygonBounds(
-        n=state.n,
-        lower=Interval(c_lo, c_hi, p),
-        upper=Interval(c_lo * s // state.cos_enc.hi,
-                       ceil_div(c_hi * s, state.cos_enc.lo), p))
+        n=state.n, lower=c,
+        upper=Interval(c.lo * s // cos.hi, ceil_div(c.hi * s, cos.lo),
+                       state.precision))
 
 
 def ladder(max_k: int, digits: int,
            max_precision: int = DEFAULT_MAX_PRECISION) -> list[PolygonBounds]:
     """Certified perimeter bounds for k = 0..max_k, each with width < 10**-digits.
 
-    One pass from the seed at digits + 10 + max_k working digits yields every
-    rung.  If an enclosure degenerates or any rung misses the width, the pass
-    is repeated at double the precision.  ResourceLimit is raised before a
-    pass whose precision would exceed max_precision.
+    One pass from the seed at digits + 6 + len(str(max_k)) working digits
+    yields every rung.  If an enclosure degenerates or any rung misses the
+    width, the pass is repeated at double the precision.  ResourceLimit is
+    raised before any work when the rung budget digits + 10 + max_k exceeds
+    max_precision, and before any pass whose precision would.
     """
     if max_k < 0:
         raise UsageError("doubling count must be >= 0")
     if digits < 1:
         raise UsageError("digits must be >= 1")
-    precision = digits + 10 + max_k
+    # c's error grows by a few units in the last place per rung, so K rungs
+    # need about log10(K) guard digits.  The rung budget grows with K itself:
+    # a request whose output alone would run to gigabytes, such as a
+    # 10**5-rung table, must fail before any work although it needs few digits.
+    precision, budget = digits + 6 + len(str(max_k)), digits + 10 + max_k
     while True:
-        if precision > max_precision:
+        if max(precision, budget) > max_precision:
             raise ResourceLimit(
                 f"needed precision exceeds max_precision={max_precision}")
         try:

@@ -12,9 +12,11 @@ Each formula is one generator of its estimates for N = 0, 1, 2, ...: row N
 extends the running sum, product or (for Brouncker) forward convergent of
 row N - 1 by one term, so `convergence_report` costs O(N) terms, not O(N^2),
 and `iter_report` hands the rows out one at a time as the pass makes them.
-The first four truncations are rational and exact.  Viete needs square
-roots and returns a certified interval, equal to a from-scratch evaluation
-at that N because each row's product is a prefix of the next one's.
+The first four truncations are rational and exact.  Viete's row N,
+2 / prod_{j=1..N} cos(90/2**j) = 2**(N+1) sin(90/2**N), is the inscribed
+perimeter c_n of the n-gon, n = 2**(N+1): its pass is `polygon.halve_angle`
+seeded at the 2-gon (cos 90 = 0, c_2 = 2), and each row is that certified
+interval rounded outward to ``precision`` digits.
 """
 
 from __future__ import annotations
@@ -23,18 +25,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import count, islice
 
-from .exactnum import (
-    PI_REFERENCE,
-    Interval,
-    Rational,
-    UsageError,
-    decimal_str,
-    interval_add,
-    interval_div,
-    interval_mul,
-    interval_sqrt,
-    make_interval,
-)
+from . import polygon
+from .exactnum import (PI_REFERENCE, Interval, Rational, UsageError, decimal_str,
+                       make_interval)
 
 
 class UnsupportedSeriesName(UsageError):
@@ -86,13 +79,14 @@ def _wallis(precision: int) -> Iterator[Rational]:
 
 
 def _viete(precision: int) -> Iterator[Interval]:
-    # radical factors t_1 = sqrt(2 + 0), t_{j+1} = sqrt(2 + t_j); the estimate
-    # is 2 / prod(t_j / 2) = 2**(n+1) / prod(t_j), with the empty product 1
-    two, factor, product = (make_interval(v, precision) for v in (2, 0, 1))
-    for n in count():
-        yield interval_div(make_interval(2 ** (n + 1), precision), product)
-        factor = interval_sqrt(interval_add(two, factor))
-        product = interval_mul(product, factor)
+    # c's enclosure widens by about five units of its last place per row, so
+    # 10 guard digits keep every row within 2 units of ``precision`` to N ~ 10**9
+    p = precision + 10
+    state = polygon.AngleState(k=0, n=2, cos_enc=make_interval(0, p),
+                               c_enc=make_interval(2, p), precision=p)
+    while True:
+        yield state.c_enc.with_precision(precision)
+        state = polygon.halve_angle(state)
 
 
 _PASSES = {"leibniz": _leibniz, "nilakantha": _nilakantha,

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import pibounds.contfrac as contfrac_module
 from pibounds.contfrac import (
     ContinuedFraction,
     MalformedDecimal,
@@ -22,8 +23,8 @@ from pibounds.contfrac import (
     parse_decimal,
     reconstruct,
 )
-from pibounds.exactnum import PI_REFERENCE, Side, side_of
-from pibounds.polygon import bounds_at
+from pibounds.exactnum import PI_REFERENCE, Interval, Side, side_of
+from pibounds.polygon import PolygonBounds, bounds_at
 
 positive_rationals = st.fractions(min_value=Fraction(1, 10**6),
                                   max_value=Fraction(10**6),
@@ -222,6 +223,37 @@ class TestBoundExpansion:
     def test_which_validation(self):
         with pytest.raises(ValueError):
             bound_expansion(5, 8, "middle")
+
+    @pytest.mark.parametrize("k,digits", [(5, 8), (41, 400), (120, 400)])
+    @pytest.mark.parametrize("which", ["lower", "upper"])
+    def test_parity_certifies_half_the_candidates(self, k, digits, which,
+                                                  monkeypatch):
+        """A convergent on the far side of the outward decimal is certified
+        by its index parity, so side_of runs for about half of them."""
+        calls = 0
+
+        def counting_side_of(q, iv):
+            nonlocal calls
+            calls += 1
+            return side_of(q, iv)
+
+        monkeypatch.setattr(contfrac_module, "side_of", counting_side_of)
+        exp = bound_expansion(k, digits, which)
+        assert calls <= len(exp.candidates) // 2 + 1, (calls, len(exp.candidates))
+        far = Side.BELOW if which == "lower" else Side.ABOVE
+        assert all(c.verdict is far for c in exp.candidates[:-1]
+                   if c.convergent.index % 2 == (which == "upper"))
+
+    def test_last_convergent_at_the_endpoint_is_within(self):
+        """The last convergent is the decimal itself; when that decimal is
+        the enclosure's endpoint exactly, parity must not certify it."""
+        bounds = PolygonBounds(n=96, lower=Interval(314000, 314100, 5),
+                               upper=Interval(314900, 315000, 5))
+        for which, coeffs in (("lower", (3, 7, 7)), ("upper", (3, 6, 1, 2))):
+            exp = contfrac_module._expansion(bounds, 2, which, 100)
+            assert exp.cf.coeffs == coeffs
+            assert len(coeffs) % 2 == (which == "lower")  # last index on the far side
+            assert exp.candidates[-1].verdict is Side.WITHIN
 
 
 class TestClassicChain:

@@ -5,10 +5,14 @@ enclosures must contain each within one unit in the 8th decimal place (the
 printing rule of the source table is not specified, so +-1 ulp is the honest
 comparison).  Algebraic identities such as cos(15)^2 = (2 + sqrt(3))/4 give
 exact, oracle-free brackets for the recurrence outputs.
+
+The sine recurrence that the perimeter kernel replaced is kept below as a
+differential reference.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -19,10 +23,14 @@ import pibounds.polygon as polygon_module
 from pibounds.exactnum import (
     PI_REFERENCE,
     Interval,
+    Rational,
+    ceil_div,
     interval_add,
     interval_div,
     interval_mul,
     interval_sqrt,
+    interval_sub,
+    isqrt_ceil,
     make_interval,
 )
 from pibounds.polygon import (
@@ -39,7 +47,6 @@ from pibounds.polygon import (
     parse_radical_expr,
     perimeters,
     seed_state,
-    sine_from_cosine,
 )
 
 # classical 8-decimal perimeters of the inscribed (c) and circumscribed (C)
@@ -89,10 +96,25 @@ def encloses_within(iv, decimal: str, tol_digits: int = 8) -> bool:
     return iv.lo_rational - tol <= v <= iv.hi_rational + tol
 
 
+def sine_enclosure(state):
+    """sin(180/n) = c_n / n, rounded outward."""
+    c = state.c_enc
+    return Interval(c.lo // state.n, ceil_div(c.hi, state.n), state.precision)
+
+
+def sine_from_cosine(cos_enc: Interval) -> Interval:
+    """sin = sqrt(1 - cos^2): the direct identity, as a cross-check.
+
+    Not used by the ladder, because of cancellation widening as cos -> 1.
+    """
+    one = make_interval(1, cos_enc.precision)
+    return interval_sqrt(interval_sub(one, interval_mul(cos_enc, cos_enc)))
+
+
 def pythagorean_sum(state):
-    from pibounds.exactnum import interval_add, interval_mul
+    sin = sine_enclosure(state)
     return interval_add(interval_mul(state.cos_enc, state.cos_enc),
-                        interval_mul(state.sin_enc, state.sin_enc))
+                        interval_mul(sin, sin))
 
 
 # ---------------------------------------------------------------------------
@@ -105,12 +127,13 @@ class TestSeedState:
         assert s.k == 0 and s.n == 3
         assert s.cos_enc.decimal_bounds() == ("0.50000000", "0.50000000")
 
-    def test_sine_matches_sqrt3_over_2(self):
+    def test_perimeter_matches_3sqrt3_over_2(self):
         s = seed_state(12)
-        assert s.sin_enc.contains(Fraction(866025403784, 10**12))
-        # exact bracket: sin(60)^2 = 3/4
-        assert s.sin_enc.lo_rational ** 2 <= Fraction(3, 4)
-        assert s.sin_enc.hi_rational ** 2 >= Fraction(3, 4)
+        assert s.c_enc.contains(Fraction(2598076211353, 10**12))
+        # exact bracket: c_3^2 = 27/4, to one unit of the last place
+        assert s.c_enc.lo_rational ** 2 <= Fraction(27, 4)
+        assert s.c_enc.hi_rational ** 2 >= Fraction(27, 4)
+        assert s.c_enc.hi - s.c_enc.lo <= 1
 
     @pytest.mark.parametrize("p", [1, 2, 8, 20])
     def test_pythagorean_identity(self, p):
@@ -123,7 +146,7 @@ class TestHalveAngle:
         assert s.n == 6
         # cos(30)^2 = 3/4 exactly
         assert s.cos_enc.lo_rational ** 2 <= Fraction(3, 4) <= s.cos_enc.hi_rational ** 2
-        assert s.sin_enc.contains(Fraction(1, 2))
+        assert s.c_enc.contains(3)
 
     def test_second_doubling_reaches_dodecagon(self):
         s = halve_angle(halve_angle(seed_state(15)))
@@ -131,13 +154,14 @@ class TestHalveAngle:
         # cos(15)^2 = (2+sqrt(3))/4, i.e. (4cos^2 - 2)^2 brackets 3
         g = lambda c: (4 * c * c - 2) ** 2
         assert g(s.cos_enc.lo_rational) <= 3 <= g(s.cos_enc.hi_rational)
-        # sin(15)^2 = (2-sqrt(3))/4, i.e. (2 - 4sin^2)^2 brackets 3 (decreasing)
-        h = lambda x: (2 - 4 * x * x) ** 2
-        assert h(s.sin_enc.hi_rational) <= 3 <= h(s.sin_enc.lo_rational)
+        # c_12 = 12 sin(15) and sin(15)^2 = (2-sqrt(3))/4, so (2 - c^2/36)^2
+        # brackets 3 (decreasing in c)
+        h = lambda c: (2 - c * c / 36) ** 2
+        assert h(s.c_enc.hi_rational) <= 3 <= h(s.c_enc.lo_rational)
         # the decimals the enclosures certify
         from pibounds.exactnum import decimal_str
         assert decimal_str(s.cos_enc.midpoint(), 8) == "0.96592583"
-        assert decimal_str(s.sin_enc.midpoint(), 8) == "0.25881905"
+        assert decimal_str(s.c_enc.midpoint(), 8) == "3.10582854"
 
     def test_doubling_count(self):
         s = seed_state(25)
@@ -156,21 +180,38 @@ class TestHalveAngle:
         s = seed_state(30)
         for _ in range(10):
             s = halve_angle(s)
-            assert 0 < s.sin_enc.lo
+            assert 0 < s.cos_enc.lo
             assert s.cos_enc.hi < 10**s.precision  # cos < 1 for k >= 1
+            # 0 < c_n < pi < 22/7
+            assert 0 < s.c_enc.lo and 7 * s.c_enc.hi < 22 * 10**s.precision
 
     def test_eq4_cross_check_small_depth(self):
-        """sqrt(1 - cos^2) must agree with the propagated sine for k <= 4."""
+        """sqrt(1 - cos^2) must agree with the propagated c_n / n for k <= 4."""
         s = seed_state(25)
         for _ in range(4):
             s = halve_angle(s)
-            assert sine_from_cosine(s.cos_enc).overlaps(s.sin_enc)
+            assert sine_from_cosine(s.cos_enc).overlaps(sine_enclosure(s))
 
-    def test_precision_exhaustion_at_tiny_scale(self):
+    def test_tiny_scale_widens_instead_of_degenerating(self):
+        """At one working digit the enclosures only widen: c_n / cos' stays
+        positive, so no rung degenerates and each still contains pi's bounds."""
         s = seed_state(1)
+        for _ in range(8):
+            s = halve_angle(s)
+            b = perimeters(s)
+            assert b.lower.lo_rational <= PI_REFERENCE <= b.upper.hi_rational
+
+    def test_degenerate_cosine_raises(self):
+        """A cosine enclosure reaching -1 leaves no positive half-angle cosine."""
+        p = 8
+        s = seed_state(p)
+        bad = polygon_module.AngleState(
+            k=s.k, n=s.n, cos_enc=Interval(-10**p, s.cos_enc.hi, p),
+            c_enc=s.c_enc, precision=p)
         with pytest.raises(PrecisionExhausted):
-            for _ in range(8):
-                s = halve_angle(s)
+            halve_angle(bad)
+        with pytest.raises(PrecisionExhausted):
+            perimeters(bad)
 
 
 class TestPerimeters:
@@ -295,6 +336,15 @@ class TestLadder:
         monkeypatch.setattr(polygon_module, "seed_state", seed)
         return seen
 
+    def test_guard_digits_grow_with_log_of_rung_count(self, precisions):
+        """digits + 6 + len(str(K)) working digits carry K = 1000 rungs in
+        one pass: c's error grows by a few ulps per rung, not by n."""
+        rungs = ladder(1000, 8)
+        assert precisions == [18]
+        assert len(rungs) == 1001
+        assert all(b.lower.width < Fraction(1, 10**8) and
+                   b.upper.width < Fraction(1, 10**8) for b in rungs)
+
     def test_escalates_on_precision_exhausted(self, monkeypatch, precisions):
         def halve(state):
             if len(precisions) == 1:
@@ -303,7 +353,7 @@ class TestLadder:
 
         monkeypatch.setattr(polygon_module, "halve_angle", halve)
         rungs = ladder(4, 8)
-        assert precisions == [22, 44]
+        assert precisions == [15, 30]
         assert [b.n for b in rungs] == [3, 6, 12, 24, 48]
 
     def test_escalates_on_width(self, monkeypatch, precisions):
@@ -318,7 +368,7 @@ class TestLadder:
 
         monkeypatch.setattr(polygon_module, "perimeters", widened)
         rungs = ladder(4, 8)
-        assert precisions == [22, 44]
+        assert precisions == [15, 30]
         assert all(b.lower.width < Fraction(1, 10**8) for b in rungs)
 
     def test_argument_validation(self):
@@ -337,13 +387,11 @@ def generic_halve(state):
     p = state.precision
     one, two = make_interval(1, p), make_interval(2, p)
     cos_half = interval_sqrt(interval_div(interval_add(one, state.cos_enc), two))
-    sin_half = interval_div(state.sin_enc, interval_mul(two, cos_half))
-    return cos_half, sin_half
+    return cos_half, interval_div(state.c_enc, cos_half)
 
 
 def generic_perimeters(state):
-    lower = interval_mul(make_interval(state.n, state.precision), state.sin_enc)
-    return lower, interval_div(lower, state.cos_enc)
+    return state.c_enc, interval_div(state.c_enc, state.cos_enc)
 
 
 def inside(inner: Interval, outer: Interval) -> bool:
@@ -363,34 +411,36 @@ def test_fused_kernel_inside_generic_composition(p):
         assert inside(fused.lower, lower) and inside(fused.upper, upper), state.k
         if state.k == 60:
             break
-        cos_half, sin_half = generic_halve(state)
+        cos_half, c_half = generic_halve(state)
         state = halve_angle(state)
         assert inside(state.cos_enc, cos_half), state.k
-        assert inside(state.sin_enc, sin_half), state.k
+        assert inside(state.c_enc, c_half), state.k
 
 
 @pytest.mark.parametrize("p", DIFF_PRECISIONS)
 def test_fused_kernel_bounds_exact_image_of_input_box(p):
     """Each endpoint bounds the exact image of the whole input box, checked
-    in integers: cos' = sqrt((1 + c)/2), sin' = sin / (2 cos'), C = n sin / c.
+    in integers: cos' = sqrt((1 + cos)/2), c' = c / cos', C = c / cos.
     Being no wider than the generic path does not show this: a bound that is
     too tight by less than one ulp passes both other checks."""
     s = 10**p
     state = seed_state(p)
+    assert state.c_enc.lo**2 * 4 <= 27 * s * s <= state.c_enc.hi**2 * 4
     for _ in range(61):
-        c, sn, n = state.cos_enc, state.sin_enc, state.n
+        cos, c = state.cos_enc, state.c_enc
         b = perimeters(state)
-        assert (b.lower.lo, b.lower.hi) == (n * sn.lo, n * sn.hi)
-        assert b.upper.lo * c.hi <= n * sn.lo * s, state.k
-        assert b.upper.hi * c.lo >= n * sn.hi * s, state.k
+        assert b.lower == c
+        assert b.upper.lo * cos.hi <= c.lo * s, state.k
+        assert b.upper.hi * cos.lo >= c.hi * s, state.k
         if state.k == 60:
             break
         state = halve_angle(state)
-        cos, sin = state.cos_enc, state.sin_enc
-        assert 2 * cos.lo**2 <= (s + c.lo) * s, state.k
-        assert 2 * cos.hi**2 >= (s + c.hi) * s, state.k
-        assert 2 * sin.lo**2 * (s + c.hi) <= sn.lo**2 * s, state.k
-        assert 2 * sin.hi**2 * (s + c.lo) >= sn.hi**2 * s, state.k
+        cos2, c2 = state.cos_enc, state.c_enc
+        assert 2 * cos2.lo**2 <= (s + cos.lo) * s, state.k
+        assert 2 * cos2.hi**2 >= (s + cos.hi) * s, state.k
+        # c2.lo <= c.lo / sqrt((1 + cos.hi)/2), and c2.hi the mirror image
+        assert c2.lo**2 * (s + cos.hi) <= 2 * c.lo**2 * s, state.k
+        assert c2.hi**2 * (s + cos.lo) >= 2 * c.hi**2 * s, state.k
 
 
 @pytest.mark.parametrize("p", DIFF_PRECISIONS)
@@ -410,11 +460,60 @@ def test_fused_kernel_contains_mpmath_values(p):
             cos, sin = mpmath.cos(angle), mpmath.sin(angle)
             b = perimeters(state)
             assert contains(state.cos_enc, cos), k
-            assert contains(state.sin_enc, sin), k
+            assert contains(state.c_enc, state.n * sin), k
             assert contains(b.lower, state.n * sin), k
             assert contains(b.upper, state.n * sin / cos), k
             if k < 60:
                 state = halve_angle(state)
+
+
+# The sine recurrence, sin(x/2) = sin(x) / (2 cos(x/2)) with c_n = n sin,
+# whose error n multiplies: the differential reference for the perimeter
+# kernel.  A state is the tuple (n, cos, sin, precision).
+
+def sine_seed(p):
+    return (3, make_interval(Rational(1, 2), p),
+            interval_sqrt(make_interval(Rational(3, 4), p)), p)
+
+
+def sine_halve(state):
+    n, cos, sin, p = state
+    s = 10**p
+    half = s // 2
+    cos_lo = math.isqrt((s + cos.lo) * half)
+    cos_hi = isqrt_ceil((s + cos.hi) * half)
+    return (2 * n, Interval(cos_lo, cos_hi, p),
+            Interval(sin.lo * s // (2 * cos_hi),
+                     ceil_div(sin.hi * s, 2 * cos_lo), p), p)
+
+
+def sine_perimeters(state):
+    n, cos, sin, p = state
+    s = 10**p
+    c_lo, c_hi = n * sin.lo, n * sin.hi
+    return (Interval(c_lo, c_hi, p),
+            Interval(c_lo * s // cos.hi, ceil_div(c_hi * s, cos.lo), p))
+
+
+@pytest.mark.parametrize("p", DIFF_PRECISIONS)
+def test_perimeter_kernel_against_sine_reference(p):
+    """At every rung k <= 60 the cosine is the reference's, and c_n and C_n
+    overlap the reference's enclosures and print no wider at any digits."""
+    def printed_width(iv, digits):
+        scaled = iv.with_precision(digits)
+        return scaled.hi - scaled.lo
+
+    state, ref = seed_state(p), sine_seed(p)
+    for k in range(61):
+        assert state.cos_enc == ref[1], k
+        b = perimeters(state)
+        for new, old in zip((b.lower, b.upper), sine_perimeters(ref)):
+            assert new.overlaps(old), k
+            assert new.hi - new.lo <= old.hi - old.lo, k
+            for d in range(1, p + 1):
+                assert printed_width(new, d) <= printed_width(old, d), (k, d)
+        if k < 60:
+            state, ref = halve_angle(state), sine_halve(ref)
 
 
 # ---------------------------------------------------------------------------

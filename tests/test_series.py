@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from pibounds import series as series_module
+from pibounds import polygon as polygon_module
 from pibounds.exactnum import (
     PI_REFERENCE,
     Interval,
@@ -80,46 +80,65 @@ def ref_viete(n: int, precision: int) -> Interval:
     return interval_div(make_interval(2 ** (n + 1), precision), product)
 
 
-def ref_row(series: str, terms: int, precision: int) -> SeriesEstimate:
-    if series == "viete":
-        estimate = ref_viete(terms, precision)
-        value = estimate.midpoint()
-    else:
-        evaluate = {"leibniz": ref_leibniz, "nilakantha": ref_nilakantha,
-                    "brouncker": ref_brouncker, "wallis": ref_wallis}[series]
-        estimate = value = evaluate(terms)
+def error_text(value: Fraction, precision: int) -> str:
     diff = value - PI_REFERENCE
-    error = ("+" if diff >= 0 else "-") + decimal_str(abs(diff), precision)
-    return SeriesEstimate(series, terms, estimate, error)
+    return ("+" if diff >= 0 else "-") + decimal_str(abs(diff), precision)
+
+
+def contains_viete_product(iv: Interval, n: int) -> bool:
+    """iv contains 2 / prod_{j=1..n} cos(90/2**j) = 2**(n+1) sin(90/2**n),
+    taken in mpmath at twice the digits of iv."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(2 * iv.precision + 10):
+        exact = 2 ** (n + 1) * mpmath.sin(mpmath.pi / 2 ** (n + 1))
+        return iv.lo <= exact * 10**iv.precision <= iv.hi
+
+
+def check_row(row: SeriesEstimate, series: str, terms: int, precision: int) -> None:
+    """A rational row equals the from-scratch reference.  A Viete row
+    contains the truncated product (mpmath at twice the digits), lies inside
+    the reference's interval and is at most 2 ulps wide."""
+    if series != "viete":
+        value = {"leibniz": ref_leibniz, "nilakantha": ref_nilakantha,
+                 "brouncker": ref_brouncker, "wallis": ref_wallis}[series](terms)
+        assert row == SeriesEstimate(series, terms, value, error_text(value, precision))
+        return
+    iv = row.estimate
+    assert (row.series, row.terms, iv.precision) == (series, terms, precision)
+    assert contains_viete_product(iv, terms), (terms, precision)
+    ref = ref_viete(terms, precision)
+    assert ref.lo <= iv.lo <= iv.hi <= ref.hi, (terms, precision)
+    assert iv.hi - iv.lo <= 2, (terms, precision)
+    assert row.error_vs_reference == error_text(iv.midpoint(), precision)
 
 
 class TestSinglePass:
     @pytest.mark.parametrize("precision", [1, 12, 200])
     def test_report_matches_from_scratch_reference(self, precision):
         rows = convergence_report(list(SERIES_NAMES), 60, precision)
-        expected = [ref_row(name, n, precision)
-                    for name in SERIES_NAMES for n in range(1, 61)]
-        # Interval equality compares the mantissas and the scale
         assert len(rows) == 300
-        assert rows == expected
+        expected = [(name, n) for name in SERIES_NAMES for n in range(1, 61)]
+        for row, (name, n) in zip(rows, expected):
+            check_row(row, name, n, precision)
 
     @pytest.mark.parametrize("name,terms", [
         *((name, 0) for name in ("nilakantha", "brouncker", "wallis")),
         *((name, n) for name in SERIES_NAMES for n in (1, 7, 120))])
     @pytest.mark.parametrize("precision", [1, 12, 200])
     def test_evaluate_series_is_reference_row(self, name, terms, precision):
-        assert evaluate_series(name, terms, precision) == ref_row(name, terms, precision)
+        check_row(evaluate_series(name, terms, precision), name, terms, precision)
 
     def test_viete_report_does_linear_work(self, monkeypatch):
-        """One pass: N rows take N square roots, not N(N+1)/2."""
+        """One pass: N rows take N halving steps, not N(N+1)/2."""
         calls = 0
+        halve_angle = polygon_module.halve_angle
 
-        def counting_sqrt(a):
+        def counting_halve(state):
             nonlocal calls
             calls += 1
-            return interval_sqrt(a)
+            return halve_angle(state)
 
-        monkeypatch.setattr(series_module, "interval_sqrt", counting_sqrt)
+        monkeypatch.setattr(polygon_module, "halve_angle", counting_halve)
         rows = convergence_report(["viete"], 200, 50)
         assert len(rows) == 200
         assert calls <= 201
@@ -185,6 +204,13 @@ class TestRationalSeries:
 
 
 class TestViete:
+    @pytest.mark.parametrize("precision", [1, 8, 20, 50])
+    def test_rows_contain_product_inside_reference_within_2_ulps(self, precision):
+        """Row N, N = 1..200, against the product and the 4-corner reference;
+        that reference is 85 ulps wide at N = 40 and 20 digits."""
+        for row in convergence_report(["viete"], 200, precision):
+            check_row(row, "viete", row.terms, precision)
+
     def test_returns_interval(self):
         assert isinstance(est("viete", 1, 12), Interval)
 
