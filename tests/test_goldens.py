@@ -28,6 +28,9 @@ from pathlib import Path
 from pibounds.cli import main
 
 GOLDENS = Path(__file__).with_name("goldens") / "cli.json"
+# a 200-digit decimal literal: ten copies of the digits 31415926535897932384,
+# with the point after the first
+LONG_LITERAL = "3." + ("31415926535897932384" * 10)[1:]
 
 
 def requests() -> list[str]:
@@ -45,9 +48,11 @@ def requests() -> list[str]:
             out.append(f"cf --from-bound upper --doublings {k} --digits {d}")
             for cap in (100, 10**6):
                 out.append(f"approx --doublings {k} --digits {d} --den-cap {cap}")
+    for value in ("3", "3.14", ".5", "007.250", "355.113", LONG_LITERAL):
+        out.append(f"cf --value {value}")
     for name in ("leibniz", "nilakantha", "brouncker", "wallis"):
-        for d in (8, 30):
-            out.append(f"series --series {name} --terms 30 --digits {d}")
+        for n, d in ((30, 8), (30, 30), (1, 1), (60, 200)):
+            out.append(f"series --series {name} --terms {n} --digits {d}")
     out += [
         # exit 3: the precision a request needs is over --max-precision
         "table --max-doublings 100000 --digits 5",
