@@ -17,7 +17,7 @@ import sys
 
 from . import contfrac, polygon, series
 from .exactnum import (PI_REFERENCE, Interval, PiBoundsError, Rational,
-                       UsageError, decimal_str)
+                       UsageError, decimal_str, fraction_str, int_str)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -32,10 +32,6 @@ def _cells(bounds: polygon.PolygonBounds, digits: int) -> tuple[str, str, str, s
     """c_lo, c_hi, C_lo, C_hi as outward-rounded strings: lo floored, hi ceiled."""
     return (*bounds.lower.decimal_bounds(digits),
             *bounds.upper.decimal_bounds(digits))
-
-
-def _fraction(q: Rational | contfrac.Convergent) -> str:
-    return f"{q.numerator}/{q.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +110,7 @@ def cmd_table(args: argparse.Namespace) -> None:
 def _print_convergents(convs: list[contfrac.Convergent],
                        verdicts: list[str] | None = None) -> None:
     print("convergents:")
-    texts = [_fraction(c) for c in convs]
+    texts = [fraction_str(c) for c in convs]
     width = max(map(len, texts))
     for i, (conv, text) in enumerate(zip(convs, texts)):
         line = f"  {conv.index}: {text.ljust(width)}"
@@ -127,7 +123,7 @@ def cmd_cf(args: argparse.Namespace) -> None:
     if args.value is not None:
         q = contfrac.parse_decimal(args.value)
         cf = contfrac.expand(q)
-        print(f"value = {args.value} = {_fraction(q)}")
+        print(f"value = {args.value} = {fraction_str(q)}")
         print(f"coefficients = {cf}")
         _print_convergents(contfrac.convergents(cf))
         return
@@ -136,7 +132,7 @@ def cmd_cf(args: argparse.Namespace) -> None:
                                    max_precision=args.max_precision)
     label = "c_n" if exp.which == "lower" else "C_n"
     print(f"bound = {exp.which} ({label}), n = {exp.n}, digits = {exp.digits}")
-    print(f"decimal = {exp.decimal_text} = {_fraction(exp.decimal)}")
+    print(f"decimal = {exp.decimal_text} = {fraction_str(exp.decimal)}")
     print(f"coefficients = {exp.cf}")
     _print_convergents([c.convergent for c in exp.candidates],
                        [c.verdict.value for c in exp.candidates])
@@ -150,7 +146,7 @@ def _candidate_summary(exp: contfrac.BoundExpansion) -> str:
     parts = []
     for cand in exp.candidates:
         note = "" if cand.within_cap else " (over cap)"
-        parts.append(f"{_fraction(cand.convergent)} "
+        parts.append(f"{fraction_str(cand.convergent)} "
                      f"{cand.verdict.value}{note}")
     return "; ".join(parts)
 
@@ -163,9 +159,9 @@ def cmd_approx(args: argparse.Namespace) -> None:
           f"{_candidate_summary(result.lower_expansion)}")
     print(f"upper candidates (from {result.upper_expansion.decimal_text}): "
           f"{_candidate_summary(result.upper_expansion)}")
-    print(f"lower = {_fraction(result.lower)} (certified below the c_n enclosure)")
-    print(f"upper = {_fraction(result.upper)} (certified above the C_n enclosure)")
-    print(f"{_fraction(result.lower)} < pi < {_fraction(result.upper)}")
+    print(f"lower = {fraction_str(result.lower)} (certified below the c_n enclosure)")
+    print(f"upper = {fraction_str(result.upper)} (certified above the C_n enclosure)")
+    print(f"{fraction_str(result.lower)} < pi < {fraction_str(result.upper)}")
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +169,11 @@ def cmd_approx(args: argparse.Namespace) -> None:
 # ---------------------------------------------------------------------------
 
 def _estimate_cell(est: Rational | Interval, digits: int) -> str:
+    # a Viete row is already rounded outward to ``digits``
     if isinstance(est, Interval):
-        lo, hi = est.decimal_bounds(digits)
-        return f"[{lo}, {hi}]"
-    return f"{decimal_str(est, digits)} ({est})"
+        return str(est)
+    exact = int_str(est.numerator) if est.denominator == 1 else fraction_str(est)
+    return f"{decimal_str(est, digits)} ({exact})"
 
 
 def cmd_series(args: argparse.Namespace) -> None:

@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 
 from . import polygon
-from .exactnum import PiBoundsError, Rational, Side, UsageError, decimal_str, side_of
+from .exactnum import (PiBoundsError, Rational, Side, UsageError, decimal_str,
+                       fraction_str, int_str, side_of)
 
 # optional integer part, optional fraction part, at least one digit, no sign
 # or exponent ("3", "3.14", ".5"; not "", ".", "3.", "1e3")
@@ -51,10 +53,10 @@ class ContinuedFraction:
             raise ValueError("need a0 >= 0 and a_i >= 1 for i >= 1")
 
     def __str__(self) -> str:
-        head, *tail = self.coeffs
+        head, *tail = map(int_str, self.coeffs)
         if not tail:
             return f"[{head}]"
-        return f"[{head}; " + ", ".join(str(a) for a in tail) + "]"
+        return f"[{head}; " + ", ".join(tail) + "]"
 
 
 @dataclass(frozen=True)
@@ -71,13 +73,12 @@ class Convergent:
 
 
 def parse_decimal(text: str) -> Rational:
-    """Exact rational value of a decimal literal (d / 10**m, stored reduced)."""
+    """Exact rational value of a decimal literal (d / 10**m, stored reduced),
+    read by Decimal, which has no digit limit where ``int(str)`` has one."""
     m = _DECIMAL_RE.match(text)
     if not m or (m.group(1) is None and m.group(2) is None):
         raise MalformedDecimal(f"not a plain positive decimal: {text!r}")
-    whole = int(m.group(1) or 0)
-    frac = m.group(2) or ""
-    value = Rational(whole * 10**len(frac) + int(frac or 0), 10**len(frac))
+    value = Rational(Decimal(text))
     if value <= 0:
         raise NonPositiveValue(f"value must be > 0, got {text!r}")
     return value
@@ -87,7 +88,8 @@ def expand(q: Rational) -> ContinuedFraction:
     """Euclidean-algorithm coefficients of a positive rational (raw output,
     no renormalization of a trailing 1)."""
     if q <= 0:
-        raise NonPositiveValue(f"can only expand positive rationals, got {q}")
+        raise NonPositiveValue(
+            f"can only expand positive rationals, got {fraction_str(q)}")
     n, d = q.numerator, q.denominator
     coeffs = []
     while True:
@@ -145,8 +147,8 @@ class BoundExpansion:
 
     @property
     def decimal_text(self) -> str:
-        return decimal_str(self.decimal, self.digits,
-                           "floor" if self.which == "lower" else "ceil")
+        # ``decimal`` is exact at ``digits`` places, so no rounding happens here
+        return decimal_str(self.decimal, self.digits)
 
 
 @dataclass(frozen=True)
@@ -189,7 +191,7 @@ def bound_expansion(k: int, digits: int, which: str, den_cap: int = 0,
                     ) -> BoundExpansion:
     """Expansion of one perimeter bound after k doublings (see _expansion)."""
     if which not in ("lower", "upper"):
-        raise ValueError(f"which must be 'lower' or 'upper', got {which!r}")
+        raise UsageError(f"which must be 'lower' or 'upper', got {which!r}")
     bounds = polygon.bounds_at(k, digits, max_precision)
     return _expansion(bounds, digits, which, den_cap)
 

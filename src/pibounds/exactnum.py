@@ -1,5 +1,5 @@
-"""Exact numeric substrate: rationals, decimal fixed point, and interval
-arithmetic with directed rounding.
+"""Exact numeric substrate: rationals, decimal fixed point, interval
+arithmetic with directed rounding, and the text of every printed number.
 
 Everything here runs on unbounded Python integers.  An ``Interval`` stores its
 endpoints as integer mantissas at a decimal scale of ``10**-precision``; every
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 
@@ -65,36 +66,41 @@ def isqrt_ceil(n: int) -> int:
     return r if r * r == n else r + 1
 
 
+def int_str(m: int) -> str:
+    """Digits of every printed numerator, denominator, mantissa, coefficient.
+    Past ``sys.get_int_max_str_digits()`` (4300 by default) ``str`` refuses
+    an int, so ``Decimal``, whose conversion has no limit, writes it."""
+    try:
+        return str(m)
+    except ValueError:
+        return str(Decimal(m))
+
+
+def fraction_str(q: Rational) -> str:
+    """``numerator/denominator``; an int or a Convergent is written the same."""
+    return f"{int_str(q.numerator)}/{int_str(q.denominator)}"
+
+
 def _mantissa_str(m: int, digits: int) -> str:
     sign = "-" if m < 0 else ""
-    m = abs(m)
+    text = int_str(abs(m)).rjust(digits + 1, "0")
     if digits == 0:
-        return f"{sign}{m}"
-    whole, frac = divmod(m, 10**digits)
-    return f"{sign}{whole}.{frac:0{digits}d}"
+        return sign + text
+    return f"{sign}{text[:-digits]}.{text[-digits:]}"
 
 
-def decimal_str(q: Rational, digits: int, rounding: str = "nearest") -> str:
-    """Render a rational as a plain decimal with ``digits`` fractional digits.
+def decimal_str(q: Rational, digits: int) -> str:
+    """``q`` as a plain decimal to ``digits`` places, nearest, ties to even.
 
-    ``rounding`` is one of ``"floor"``, ``"ceil"``, ``"nearest"`` (ties to
-    even).  Pure integer arithmetic throughout; binary floating point is never
-    involved, so the output is exact and reproducible.
+    One integer divmod; like `side_of` it reads only ``q.numerator`` and
+    ``q.denominator``.  Outward: ``make_interval(q, digits).decimal_bounds()``.
     """
     if digits < 0:
-        raise ValueError("digits must be >= 0")
-    scaled = q * 10**digits
-    n, d = scaled.numerator, scaled.denominator
-    if rounding == "floor":
-        m = n // d
-    elif rounding == "ceil":
-        m = ceil_div(n, d)
-    elif rounding == "nearest":
-        m, r = divmod(n, d)
-        if 2 * r > d or (2 * r == d and m % 2):
-            m += 1
-    else:
-        raise ValueError(f"unknown rounding mode {rounding!r}")
+        raise UsageError("digits must be >= 0")
+    d = q.denominator
+    m, r = divmod(q.numerator * 10**digits, d)
+    if 2 * r > d or (2 * r == d and m % 2):
+        m += 1
     return _mantissa_str(m, digits)
 
 
@@ -148,22 +154,17 @@ class Interval:
 
     def decimal_bounds(self, digits: int | None = None) -> tuple[str, str]:
         """Endpoint decimal strings, outward-rounded to ``digits`` places."""
-        if digits is None or digits == self.precision:
-            return (_mantissa_str(self.lo, self.precision),
-                    _mantissa_str(self.hi, self.precision))
-        scaled = self.with_precision(digits)
-        return (_mantissa_str(scaled.lo, digits),
-                _mantissa_str(scaled.hi, digits))
+        iv = self if digits in (None, self.precision) else self.with_precision(digits)
+        return _mantissa_str(iv.lo, iv.precision), _mantissa_str(iv.hi, iv.precision)
 
     def __str__(self) -> str:
-        lo_s, hi_s = self.decimal_bounds()
-        return f"[{lo_s}, {hi_s}]"
+        return "[{}, {}]".format(*self.decimal_bounds())
 
 
 def make_interval(q: Rational | int, precision: int) -> Interval:
     """Tightest interval at the given scale containing the exact rational q."""
     if precision < 1:
-        raise ValueError("precision must be >= 1")
+        raise UsageError("precision must be >= 1")
     q = Rational(q)
     s = 10**precision
     return Interval(q.numerator * s // q.denominator,
@@ -221,7 +222,7 @@ def interval_arith(op: str, a: Interval, b: Interval) -> Interval:
     try:
         fn = _OPS[op]
     except KeyError:
-        raise ValueError(f"unknown interval operation {op!r}") from None
+        raise UsageError(f"unknown interval operation {op!r}") from None
     return fn(a, b)
 
 

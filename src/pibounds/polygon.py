@@ -116,7 +116,7 @@ class PolygonBounds:
 def seed_state(precision: int) -> AngleState:
     """Starting triangle: cos(60 deg) = 1/2 exactly, c_3 = sqrt(27/4)."""
     if precision < 1:
-        raise ValueError("precision must be >= 1")
+        raise UsageError("precision must be >= 1")
     cos_enc = make_interval(Rational(1, 2), precision)
     c_enc = interval_sqrt(make_interval(Rational(27, 4), precision))
     return AngleState(k=0, n=3, cos_enc=cos_enc, c_enc=c_enc,
@@ -248,8 +248,8 @@ def parse_radical_expr(text: str) -> RadicalExpr:
     """Inverse of RadicalExpr.render (ASCII '-' accepted for the minus sign)."""
     pos = 0
 
-    def error(msg: str) -> ValueError:
-        return ValueError(f"cannot parse radical expression {text!r}: {msg}")
+    def error(msg: str) -> UsageError:
+        return UsageError(f"cannot parse radical expression {text!r}: {msg}")
 
     def parse_int() -> int:
         nonlocal pos
@@ -309,7 +309,7 @@ def nested_radical_form(n: int, which: str) -> RadicalExpr:
     literals 3*sqrt(3)/2, 3*sqrt(3), 3, 2*sqrt(3).
     """
     if which not in ("c", "C"):
-        raise ValueError(f"which must be 'c' or 'C', got {which!r}")
+        raise UsageError(f"which must be 'c' or 'C', got {which!r}")
     k = _doubling_index(n)
     if k == 0:
         if which == "c":

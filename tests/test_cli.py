@@ -6,9 +6,13 @@ import csv
 import gc
 import io
 import json
+import os
+import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +24,12 @@ from pibounds.exactnum import (
     NegativeRadicand,
     PiBoundsError,
     UsageError,
+    decimal_str,
+    interval_arith,
+    make_interval,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*argv: str, capsys) -> tuple[int, str]:
@@ -288,6 +297,20 @@ class TestExitCodes:
         with pytest.raises(NegativeRadicand):
             main(["table", "--max-doublings", "2"])
 
+    @pytest.mark.parametrize("fn,args", [
+        (polygon.seed_state, (0,)),
+        (make_interval, (1, 0)),
+        (decimal_str, (Fraction(1, 3), -1)),
+        (interval_arith, ("pow", make_interval(1, 2), make_interval(1, 2))),
+        (contfrac.bound_expansion, (5, 8, "middle")),
+        (polygon.nested_radical_form, (12, "x")),
+        (polygon.parse_radical_expr, ("12/",)),
+    ], ids=["seed_state", "make_interval", "decimal_str", "interval_arith",
+            "bound_expansion", "nested_radical_form", "parse_radical_expr"])
+    def test_argument_checks_raise_usage_error(self, fn, args):
+        with pytest.raises(UsageError):
+            fn(*args)
+
     def test_huge_table_fails_fast(self, capsys):
         """The precision a table needs is known before any rung is computed."""
         start = time.perf_counter()
@@ -363,3 +386,52 @@ class TestDeterminism:
         second = self._run("bounds", "--doublings", "5", "--digits", "8",
                            "--format", "json")
         assert first == second
+
+
+class TestIntDigitLimit:
+    """Output is the same past the interpreter's int-to-str digit limit."""
+
+    # each prints integers or mantissas of more than 640 digits
+    REQUESTS = [
+        "bounds --doublings 5 --digits 1000",
+        "table --max-doublings 2 --digits 1000",
+        "export-fig3 --max-doublings 2 --digits 1000",
+        "cf --from-bound lower --doublings 5 --digits 1000",
+        "approx --doublings 5 --digits 1000 --den-cap 100",
+        "series --series viete --terms 3 --digits 1000",
+        "series --series wallis --terms 700 --digits 8",
+        "cf --value 3." + ("31415926535897932384" * 45)[1:],
+    ]
+    SCRIPT = ("import contextlib, io, json, sys\n"
+              "from pibounds.cli import main\n"
+              "results = []\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    out, err = io.StringIO(), io.StringIO()\n"
+              "    try:\n"
+              "        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+              "            code = main(argv.split())\n"
+              "    except Exception as exc:\n"
+              "        code = repr(exc)\n"
+              "    results.append([code, out.getvalue(), err.getvalue()])\n"
+              "print(json.dumps(results))\n")
+
+    def _run(self, *flags: str) -> list[list]:
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", self.SCRIPT, json.dumps(self.REQUESTS)],
+            env=env, capture_output=True, text=True, timeout=120, check=True)
+        return json.loads(proc.stdout)
+
+    def test_same_bytes_under_a_640_digit_limit(self):
+        unlimited = self._run()
+        limited = self._run("-X", "int_max_str_digits=640")
+        for argv, want, got in zip(self.REQUESTS, unlimited, limited):
+            assert want[0] == 0 and want[2] == "", argv
+            assert got == want, argv
+
+    def test_bounds_past_the_default_limit(self, capsys):
+        assert main("bounds --doublings 5 --digits 4400".split()) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        cells = re.findall(r"\d+\.(\d+)", captured.out)
+        assert [len(c) for c in cells] == [4400] * 4

@@ -48,6 +48,10 @@ class TestParseDecimal:
         with pytest.raises(MalformedDecimal):
             parse_decimal(text)
 
+    def test_past_the_default_int_digit_limit(self):
+        assert parse_decimal("1" * 5000) == (10**5000 - 1) // 9
+        assert parse_decimal("." + "0" * 4999 + "5") == Fraction(1, 2 * 10**4999)
+
     @pytest.mark.parametrize("text", ["0", "0.00", ".0"])
     def test_non_positive(self, text):
         with pytest.raises(NonPositiveValue):

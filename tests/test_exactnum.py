@@ -8,6 +8,7 @@ Independent oracles used here:
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -23,6 +24,8 @@ from pibounds.exactnum import (
     NegativeRadicand,
     Side,
     decimal_str,
+    fraction_str,
+    int_str,
     interval_arith,
     interval_sqrt,
     isqrt_ceil,
@@ -347,11 +350,45 @@ class TestDecimalStr:
         (Fraction(5), 0, "nearest", "5"),
     ])
     def test_modes(self, q, digits, mode, expected):
-        assert decimal_str(q, digits, mode) == expected
+        # decimal_str rounds to nearest; floor and ceil are the outward ends
+        # of the tightest enclosure
+        if mode == "nearest":
+            assert decimal_str(q, digits) == expected
+        else:
+            lo, hi = make_interval(q, digits).decimal_bounds()
+            assert (lo if mode == "floor" else hi) == expected
 
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            decimal_str(Fraction(1), 2, "up")
+    def test_nearest_is_the_only_mode(self):
+        assert list(inspect.signature(decimal_str).parameters) == ["q", "digits"]
+
+    def test_reads_only_numerator_and_denominator(self):
+        conv = Convergent(22, 7, 1)
+        assert decimal_str(conv, 8) == decimal_str(Fraction(22, 7), 8)
+        assert decimal_str(5, 2) == "5.00"
+
+
+class TestIntStr:
+    """int_str is str, and keeps working past the int-to-str digit limit."""
+
+    @pytest.mark.parametrize("m", [0, 7, -42, 10**20 + 3])
+    def test_small_ints_are_str(self, m):
+        assert int_str(m) == str(m)
+
+    def test_past_the_default_limit(self):
+        assert int_str(10**5000) == "1" + "0" * 5000
+        assert int_str(-(10**5000 - 1)) == "-" + "9" * 5000
+
+    def test_mantissa_past_the_default_limit(self):
+        q = Fraction(10**5000 // 3, 10**4400)
+        assert decimal_str(q, 4400) == "3" * 600 + "." + "3" * 4400
+        lo, hi = make_interval(q, 4400).decimal_bounds()
+        assert lo == hi == decimal_str(q, 4400)
+
+    def test_fraction_str(self):
+        assert fraction_str(Fraction(22, 7)) == "22/7"
+        assert fraction_str(Fraction(3)) == "3/1"
+        assert fraction_str(Convergent(355, 113, 3)) == "355/113"
+        assert fraction_str(Fraction(1, 10**4400)) == "1/1" + "0" * 4400
 
 
 def test_pi_reference_value():
