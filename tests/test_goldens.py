@@ -42,6 +42,12 @@ def requests() -> list[str]:
                 out.append(f"bounds --doublings {k} --digits {d} --format {fmt}")
                 out.append(f"table --max-doublings {k} --digits {d} --format {fmt}")
             out.append(f"export-fig3 --max-doublings {k} --digits {d}")
+    # rung counts where the guard digit count len(str(K)) steps up
+    for k in (9, 10, 99, 100, 999, 1000):
+        for d in (1, 8):
+            out.append(f"bounds --doublings {k} --digits {d}")
+    for k in (99, 100, 1000):
+        out.append(f"export-fig3 --max-doublings {k} --digits 8")
     for k in (0, 5, 41, 120):
         for d in (8, 400):
             out.append(f"cf --from-bound lower --doublings {k} --digits {d}")
