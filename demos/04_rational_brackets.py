@@ -46,6 +46,9 @@ assert Fraction(223, 71) < Fraction(245, 78)
 print("223/71 is certified below c_96 too, but 245/78 is closer to pi.")
 print()
 
-# Thirteen doublings reproduce the famous 355/113 upper bound.
-deep = certified_rational_bounds(k=13, digits=8, den_cap=200)
-print(f"24576-gon bracket under cap 200: {deep.lower} < pi < {deep.upper}")
+# Twelve doublings reproduce the famous 355/113 upper bound: the 12288-gon is
+# the first whose circumscribed perimeter is certified below it.
+deep = certified_rational_bounds(k=12, digits=8, den_cap=200)
+assert deep.upper == Fraction(355, 113)
+assert side_of(Fraction(355, 113), bounds_at(11, 12).upper) is not Side.ABOVE
+print(f"12288-gon bracket under cap 200: {deep.lower} < pi < {deep.upper}")

@@ -197,7 +197,7 @@ _REFERENCES = (
 
 
 def cmd_export_fig3(args: argparse.Namespace) -> None:
-    rungs = polygon.ladder(args.max_doublings, args.digits, args.max_precision)
+    rungs = list(polygon.ladder(args.max_doublings, args.digits, args.max_precision))
     print("n,c_n,c_n_hi,C_n,C_n_hi")
     for bounds in rungs:
         print(bounds.n, *_cells(bounds, args.digits), sep=",")
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_precision_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument("--max-precision", type=int, default=polygon.DEFAULT_MAX_PRECISION,
-                       help="cap on working precision escalation (decimal digits)")
+                       help="cap on the rung budget digits + 10 + doublings")
 
     p = sub.add_parser("bounds", help="perimeter enclosures after k doublings")
     p.add_argument("--doublings", type=int, required=True)

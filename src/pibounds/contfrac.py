@@ -186,14 +186,14 @@ def _expansion(bounds: polygon.PolygonBounds, digits: int, which: str,
                           decimal=decimal, cf=cf, candidates=candidates)
 
 
-def bound_expansion(k: int, digits: int, which: str, den_cap: int = 0,
+def bound_expansion(k: int, digits: int, which: str,
                     max_precision: int = polygon.DEFAULT_MAX_PRECISION,
                     ) -> BoundExpansion:
     """Expansion of one perimeter bound after k doublings (see _expansion)."""
     if which not in ("lower", "upper"):
         raise UsageError(f"which must be 'lower' or 'upper', got {which!r}")
     bounds = polygon.bounds_at(k, digits, max_precision)
-    return _expansion(bounds, digits, which, den_cap)
+    return _expansion(bounds, digits, which, den_cap=0)
 
 
 def certified_rational_bounds(k: int, digits: int, den_cap: int,

@@ -19,8 +19,7 @@ The state carries the inscribed perimeter, not the sine: since c_2n =
 free of the cancellation that makes sqrt(1 - cos^2) collapse as cos -> 1.
 Its relative error grows by a few units in the last place per rung, where
 n * sin would multiply the sine's error by n, so `ladder` needs only
-O(log K) guard digits.  Seeded at the 2-gon (cos 90 deg = 0, c_2 = 2) the
-same step is Viete's product, which `series` runs.
+O(log K) guard digits.
 
 Every step is monotone on positive inputs: sqrt((1 + cos)/2) increases with
 cos, and c/cos increases with c and decreases with cos.  So `halve_angle` and
@@ -31,9 +30,9 @@ Analysis*, 2009).  The halving is folded into the square-root argument, which
 leaves two long divisions for c_2n and two for C_n per rung.  The positivity
 checks that raise `PrecisionExhausted` are what make these directions valid.
 
-`ladder` is the one routine that runs the polygon recurrence: one pass from
-the seed yields the certified bounds of every rung k = 0..K, and `bounds_at`
-is its last rung.
+`doublings` is the one loop over the step.  `ladder` runs it from the
+triangle, yielding rungs k = 0..K as they are made, and `bounds_at` is its
+last rung; `series` runs it from the 2-gon (cos 90 deg = 0) as Viete's product.
 
 The module also builds and evaluates the nested-radical closed forms
 n * sqrt(2 - sqrt(2 + ... sqrt(3)))/2 that the doubling produces for each n.
@@ -45,7 +44,10 @@ evaluating, comparing and hashing a tower all take one loop, at any depth.
 from __future__ import annotations
 
 import math
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 from .exactnum import (
     Interval,
@@ -74,7 +76,7 @@ class PrecisionExhausted(PiBoundsError, ArithmeticError):
 
 
 class ResourceLimit(PiBoundsError, RuntimeError):
-    """Precision escalation exceeded the configured maximum."""
+    """A request's rung budget exceeds the configured max_precision."""
 
 
 class UnsupportedSideCount(UsageError):
@@ -91,11 +93,7 @@ def _doubling_index(n: int) -> int:
 
 @dataclass(frozen=True)
 class AngleState:
-    """Certified enclosures of cos(180/n) and of the inscribed perimeter c_n.
-
-    n = 3 * 2**k on the polygon ladder; Viete's product runs the same step
-    from n = 2.
-    """
+    """Enclosures of cos(180/n) and of c_n; n = 3 * 2**k, or 2**(k+1) for Viete."""
 
     k: int
     n: int
@@ -159,49 +157,50 @@ def perimeters(state: AngleState) -> PolygonBounds:
                        state.precision))
 
 
+def doublings(state: AngleState) -> Iterator[AngleState]:
+    """``state``, then each halving of it: the one loop over the recurrence."""
+    while True:
+        yield state
+        state = halve_angle(state)
+
+
+def _checked(bounds: PolygonBounds, limit: int) -> PolygonBounds:
+    if max(bounds.lower.hi - bounds.lower.lo, bounds.upper.hi - bounds.upper.lo) >= limit:
+        raise PrecisionExhausted(f"perimeter enclosure too wide at n={bounds.n}")
+    return bounds
+
+
 def ladder(max_k: int, digits: int,
-           max_precision: int = DEFAULT_MAX_PRECISION) -> list[PolygonBounds]:
+           max_precision: int = DEFAULT_MAX_PRECISION) -> Iterator[PolygonBounds]:
     """Certified perimeter bounds for k = 0..max_k, each with width < 10**-digits.
 
-    One pass from the seed at digits + 6 + len(str(max_k)) working digits
-    yields every rung.  If an enclosure degenerates or any rung misses the
-    width, the pass is repeated at double the precision.  ResourceLimit is
-    raised before any work when the rung budget digits + 10 + max_k exceeds
-    max_precision, and before any pass whose precision would.
+    The arguments and the rung budget digits + 10 + max_k (which fails a
+    10**5-rung table although it needs few digits) are checked at the call,
+    before any work.  One pass at p = digits + 6 + len(str(max_k)) digits
+    then makes each rung as it is read; one too wide would raise
+    PrecisionExhausted before it is yielded.  It cannot be: with s = 10**p,
+    cos.lo >= s/2 and cos.hi <= s, so nothing degenerates and c.lo never
+    shrinks; cos' has slope 1/(4 cos') < 0.29, so it stays <= 2 units wide;
+    a step adds < 2 pi/cos'^2 + 2 < 10.4 units to width(c)/cos'; and the
+    1/cos' multiply to c_n/c_3 < pi/c_3 < 1.21.  So c_n is < 13(k + 1) units
+    wide and C_n < 15(k + 1), against 10**(p - digits) >= 10**6 * (max_k + 1).
     """
     if max_k < 0:
         raise UsageError("doubling count must be >= 0")
     if digits < 1:
         raise UsageError("digits must be >= 1")
-    # c's error grows by a few units in the last place per rung, so K rungs
-    # need about log10(K) guard digits.  The rung budget grows with K itself:
-    # a request whose output alone would run to gigabytes, such as a
-    # 10**5-rung table, must fail before any work although it needs few digits.
-    precision, budget = digits + 6 + len(str(max_k)), digits + 10 + max_k
-    while True:
-        if max(precision, budget) > max_precision:
-            raise ResourceLimit(
-                f"needed precision exceeds max_precision={max_precision}")
-        try:
-            state = seed_state(precision)
-            rungs = [perimeters(state)]
-            for _ in range(max_k):
-                state = halve_angle(state)
-                rungs.append(perimeters(state))
-        except PrecisionExhausted:
-            precision *= 2
-            continue
-        limit = 10 ** (precision - digits)
-        if all(b.lower.hi - b.lower.lo < limit and b.upper.hi - b.upper.lo < limit
-               for b in rungs):
-            return rungs
-        precision *= 2
+    if digits + 10 + max_k > max_precision:
+        raise ResourceLimit(f"needed precision exceeds max_precision={max_precision}")
+    precision = digits + 6 + len(str(max_k))
+    limit = 10 ** (precision - digits)
+    return (_checked(perimeters(state), limit)
+            for state in islice(doublings(seed_state(precision)), max_k + 1))
 
 
 def bounds_at(k: int, digits: int,
               max_precision: int = DEFAULT_MAX_PRECISION) -> PolygonBounds:
     """Certified perimeter bounds after k doublings: the last rung of ``ladder``."""
-    return ladder(k, digits, max_precision)[-1]
+    return deque(ladder(k, digits, max_precision), maxlen=1).pop()
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ row N - 1 by one term, so `convergence_report` costs O(N) terms, not O(N^2),
 and `iter_report` hands the rows out one at a time as the pass makes them.
 The first four truncations are rational and exact.  Viete's row N,
 2 / prod_{j=1..N} cos(90/2**j) = 2**(N+1) sin(90/2**N), is the inscribed
-perimeter c_n of the n-gon, n = 2**(N+1): its pass is `polygon.halve_angle`
+perimeter c_n of the n-gon, n = 2**(N+1): its pass is `polygon.doublings`
 seeded at the 2-gon (cos 90 = 0, c_2 = 2), and each row is that certified
 interval rounded outward to ``precision`` digits.
 """
@@ -82,11 +82,10 @@ def _viete(precision: int) -> Iterator[Interval]:
     # c's enclosure widens by about five units of its last place per row, so
     # 10 guard digits keep every row within 2 units of ``precision`` to N ~ 10**9
     p = precision + 10
-    state = polygon.AngleState(k=0, n=2, cos_enc=make_interval(0, p),
-                               c_enc=make_interval(2, p), precision=p)
-    while True:
-        yield state.c_enc.with_precision(precision)
-        state = polygon.halve_angle(state)
+    two_gon = polygon.AngleState(k=0, n=2, cos_enc=make_interval(0, p),
+                                 c_enc=make_interval(2, p), precision=p)
+    return (state.c_enc.with_precision(precision)
+            for state in polygon.doublings(two_gon))
 
 
 _PASSES = {"leibniz": _leibniz, "nilakantha": _nilakantha,

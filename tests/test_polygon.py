@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import pibounds.polygon as polygon_module
+from pibounds.cli import main
 from pibounds.exactnum import (
     PI_REFERENCE,
     Interval,
@@ -296,7 +298,7 @@ class TestBoundsAt:
 
 class TestLadder:
     def test_one_rung_per_doubling(self):
-        rungs = ladder(5, 8)
+        rungs = list(ladder(5, 8))
         assert [b.n for b in rungs] == [3, 6, 12, 24, 48, 96]
         for b in rungs:
             assert b.lower.width < Fraction(1, 10**8)
@@ -310,10 +312,15 @@ class TestLadder:
         although it ran at max_k - k more working digits."""
         def cells(b):
             return b.lower.decimal_bounds(digits) + b.upper.decimal_bounds(digits)
-        rungs = ladder(max_k, digits)
+        rungs = list(ladder(max_k, digits))
         assert len(rungs) == max_k + 1
         for k, b in enumerate(rungs):
             assert cells(b) == cells(bounds_at(k, digits)), k
+
+    def test_returns_an_iterator(self):
+        rungs = ladder(5, 8)
+        assert iter(rungs) is rungs
+        assert [next(rungs).n, next(rungs).n] == [3, 6]
 
     def test_resource_limit_before_any_work(self, monkeypatch):
         def no_work(precision):
@@ -338,29 +345,46 @@ class TestLadder:
 
     def test_guard_digits_grow_with_log_of_rung_count(self, precisions):
         """digits + 6 + len(str(K)) working digits carry K = 1000 rungs in
-        one pass: c's error grows by a few ulps per rung, not by n."""
+        one pass: c's error grows by a few ulps per rung, not by n.  The
+        pass is seeded when ladder is called, before any rung is read."""
         rungs = ladder(1000, 8)
+        assert precisions == [18]
+        rungs = list(rungs)
         assert precisions == [18]
         assert len(rungs) == 1001
         assert all(b.lower.width < Fraction(1, 10**8) and
                    b.upper.width < Fraction(1, 10**8) for b in rungs)
 
-    def test_escalates_on_precision_exhausted(self, monkeypatch, precisions):
-        def halve(state):
-            if len(precisions) == 1:
-                raise PrecisionExhausted("forced")
-            return halve_angle(state)
+    @pytest.mark.parametrize("digits", [1, 2, 3, 8, 30])
+    def test_rung_widths_within_documented_bound(self, digits):
+        """The bound in ladder's docstring, in units of the working precision:
+        c_n under 13(k + 1) wide and C_n under 15(k + 1).  It is what makes
+        the per-rung width check unreachable."""
+        for max_k in (*range(61), 99, 100, 999, 1000, 3000):
+            for k, b in enumerate(ladder(max_k, digits)):
+                assert b.lower.hi - b.lower.lo < 13 * (k + 1), (max_k, k)
+                assert b.upper.hi - b.upper.lo < 15 * (k + 1), (max_k, k)
 
-        monkeypatch.setattr(polygon_module, "halve_angle", halve)
-        rungs = ladder(4, 8)
-        assert precisions == [15, 30]
-        assert [b.n for b in rungs] == [3, 6, 12, 24, 48]
+    FAILING_REQUESTS = [
+        "bounds --doublings 4 --digits 8",
+        *(f"table --max-doublings 4 --digits 8 --format {fmt}"
+          for fmt in ("text", "csv", "json")),
+        "export-fig3 --max-doublings 4 --digits 8",
+    ]
 
-    def test_escalates_on_width(self, monkeypatch, precisions):
-        """A single rung wider than 10**-digits makes the whole pass repeat."""
+    def assert_nothing_printed(self, capsys):
+        for argv in self.FAILING_REQUESTS:
+            assert main(argv.split()) == 3, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert captured.err.startswith("error: "), argv
+
+    def test_too_wide_rung_raises_before_it_is_yielded(self, monkeypatch, capsys):
+        """A rung as wide as 10**-digits ends the pass: no rung wider than the
+        limit is ever yielded or printed, and nothing reruns the pass."""
         def widened(state):
             b = perimeters(state)
-            if len(precisions) > 1 or state.k != 2:
+            if state.k != 2:
                 return b
             p = state.precision
             wide = Interval(b.lower.lo, b.lower.lo + 10 ** (p - 8), p)
@@ -368,8 +392,23 @@ class TestLadder:
 
         monkeypatch.setattr(polygon_module, "perimeters", widened)
         rungs = ladder(4, 8)
-        assert precisions == [15, 30]
-        assert all(b.lower.width < Fraction(1, 10**8) for b in rungs)
+        assert [next(rungs).n, next(rungs).n] == [3, 6]
+        with pytest.raises(PrecisionExhausted):
+            next(rungs)
+        with pytest.raises(PrecisionExhausted):
+            list(ladder(4, 8))
+        self.assert_nothing_printed(capsys)
+
+    def test_degenerate_enclosure_ends_the_pass(self, monkeypatch, capsys):
+        def halve(state):
+            if state.k == 1:
+                raise PrecisionExhausted("forced")
+            return halve_angle(state)
+
+        monkeypatch.setattr(polygon_module, "halve_angle", halve)
+        with pytest.raises(PrecisionExhausted):
+            list(ladder(4, 8))
+        self.assert_nothing_printed(capsys)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -614,5 +653,5 @@ class TestEvalRadical:
 
 
 def test_ladder_never_reads_reference_digits():
-    source = open(polygon_module.__file__).read()
+    source = Path(polygon_module.__file__).read_text()
     assert "PI_REFERENCE" not in source
