@@ -80,6 +80,10 @@ def requests() -> list[str]:
         "approx --doublings 5 --den-cap 0",
         "cf --value 3.14.5",
         "cf --value 0",
+        "cf --value .",
+        "cf --value 3.",
+        "cf --value 1e3",
+        "cf --value 0.000",
         "series --series leibniz --terms 0",
         "series --series wallis --terms 3 --digits 0",
     ]
