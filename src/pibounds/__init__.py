@@ -14,8 +14,6 @@ from .contfrac import (
     CertifiedBounds,
     ContinuedFraction,
     Convergent,
-    MalformedDecimal,
-    NonPositiveValue,
     NoValidBound,
     bound_expansion,
     certified_rational_bounds,
@@ -45,7 +43,6 @@ from .polygon import (
     PrecisionExhausted,
     RadicalExpr,
     ResourceLimit,
-    UnsupportedSideCount,
     bounds_at,
     eval_radical,
     halve_angle,
@@ -57,9 +54,7 @@ from .polygon import (
 )
 from .series import (
     SERIES_NAMES,
-    InvalidTermCount,
     SeriesEstimate,
-    UnsupportedSeriesName,
     convergence_report,
     evaluate_series,
 )
@@ -73,11 +68,8 @@ __all__ = [
     "Convergent",
     "DivisionByZeroInterval",
     "Interval",
-    "InvalidTermCount",
-    "MalformedDecimal",
     "NegativeRadicand",
     "NoValidBound",
-    "NonPositiveValue",
     "PI_REFERENCE",
     "PiBoundsError",
     "PolygonBounds",
@@ -88,8 +80,6 @@ __all__ = [
     "SERIES_NAMES",
     "SeriesEstimate",
     "Side",
-    "UnsupportedSeriesName",
-    "UnsupportedSideCount",
     "UsageError",
     "bound_expansion",
     "bounds_at",

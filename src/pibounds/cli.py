@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_precision_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument("--max-precision", type=int, default=polygon.DEFAULT_MAX_PRECISION,
-                       help="cap on the rung budget digits + 10 + doublings")
+                       help="cap (>= 1) on the rung budget digits + 10 + doublings")
 
     p = sub.add_parser("bounds", help="perimeter enclosures after k doublings")
     p.add_argument("--doublings", type=int, required=True)

@@ -28,14 +28,6 @@ from .exactnum import (PiBoundsError, Rational, Side, UsageError, decimal_str,
 _DECIMAL_RE = re.compile(r"^(\d+)?(?:\.(\d+))?$")
 
 
-class MalformedDecimal(UsageError):
-    """Input string is not a plain decimal literal."""
-
-
-class NonPositiveValue(UsageError):
-    """Value must be strictly positive."""
-
-
 class NoValidBound(PiBoundsError, LookupError):
     """No convergent under the denominator cap is certified on the needed side."""
 
@@ -77,10 +69,10 @@ def parse_decimal(text: str) -> Rational:
     read by Decimal, which has no digit limit where ``int(str)`` has one."""
     m = _DECIMAL_RE.match(text)
     if not m or (m.group(1) is None and m.group(2) is None):
-        raise MalformedDecimal(f"not a plain positive decimal: {text!r}")
+        raise UsageError(f"not a plain positive decimal: {text!r}")
     value = Rational(Decimal(text))
     if value <= 0:
-        raise NonPositiveValue(f"value must be > 0, got {text!r}")
+        raise UsageError(f"value must be > 0, got {text!r}")
     return value
 
 
@@ -88,8 +80,7 @@ def expand(q: Rational) -> ContinuedFraction:
     """Euclidean-algorithm coefficients of a positive rational (raw output,
     no renormalization of a trailing 1)."""
     if q <= 0:
-        raise NonPositiveValue(
-            f"can only expand positive rationals, got {fraction_str(q)}")
+        raise UsageError(f"can only expand positive rationals, got {fraction_str(q)}")
     n, d = q.numerator, q.denominator
     coeffs = []
     while True:

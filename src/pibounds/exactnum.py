@@ -29,9 +29,9 @@ class PiBoundsError(Exception):
 
 
 class UsageError(PiBoundsError, ValueError):
-    """Invalid input from the caller: the base of every argument error.
+    """Invalid input from the caller: the one class of argument error.
 
-    Only these map to the CLI's exit 2; any other ValueError is a fault.
+    Only it maps to the CLI's exit 2; any other ValueError is a fault.
     """
 
 

@@ -37,13 +37,15 @@ last rung; `series` runs it from the 2-gon (cos 90 deg = 0) as Viete's product.
 The module also builds and evaluates the nested-radical closed forms
 n * sqrt(2 - sqrt(2 + ... sqrt(3)))/2 that the doubling produces for each n.
 A tower is stored flat, as the tuple of its signs from the outermost
-sqrt(2 +/- ...) inwards, with () for sqrt(3) itself; so rendering, parsing,
-evaluating, comparing and hashing a tower all take one loop, at any depth.
+sqrt(2 +/- ...) inwards, with () for sqrt(3) itself; so rendering, evaluating,
+comparing and hashing a tower all take one loop, and parsing one regular
+expression match, at any depth.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -79,16 +81,12 @@ class ResourceLimit(PiBoundsError, RuntimeError):
     """A request's rung budget exceeds the configured max_precision."""
 
 
-class UnsupportedSideCount(UsageError):
-    """Side count is not of the form 3 * 2**k."""
-
-
 def _doubling_index(n: int) -> int:
     if n >= 3 and n % 3 == 0:
         m = n // 3
         if m & (m - 1) == 0:
             return m.bit_length() - 1
-    raise UnsupportedSideCount(f"side count must be 3 * 2**k, got {n}")
+    raise UsageError(f"side count must be 3 * 2**k, got {n}")
 
 
 @dataclass(frozen=True)
@@ -189,6 +187,8 @@ def ladder(max_k: int, digits: int,
         raise UsageError("doubling count must be >= 0")
     if digits < 1:
         raise UsageError("digits must be >= 1")
+    if max_precision < 1:
+        raise UsageError("max_precision must be >= 1")
     if digits + 10 + max_k > max_precision:
         raise ResourceLimit(f"needed precision exceeds max_precision={max_precision}")
     precision = digits + 6 + len(str(max_k))
@@ -243,62 +243,26 @@ def _render_tower(signs: tuple[str, ...]) -> str:
     return f"{opens}{_SQRT}3{')' * len(signs)}"
 
 
+# A tower is the openings "√(2±" (the sign at offset 3 of each), then √3, then
+# one ")" per opening; the match leaves the count of ")" to compare.
+_TOWER = rf"((?:{_SQRT}\(2[-+{_MINUS}])*){_SQRT}3(\)*)"
+# multiplier, optional numerator tower, optional "/" and an integer or a tower;
+# kept a string: it is compiled (and cached) by the first parse, not at import
+_RADICAL_PATTERN = rf"(\d+)(?:{_DOT}?{_TOWER})?(?:/(?:(\d+)|{_TOWER}))?"
+
+
 def parse_radical_expr(text: str) -> RadicalExpr:
     """Inverse of RadicalExpr.render (ASCII '-' accepted for the minus sign)."""
-    pos = 0
-
-    def error(msg: str) -> UsageError:
-        return UsageError(f"cannot parse radical expression {text!r}: {msg}")
-
-    def parse_int() -> int:
-        nonlocal pos
-        start = pos
-        while pos < len(text) and text[pos].isdigit():
-            pos += 1
-        if pos == start:
-            raise error(f"expected digits at position {start}")
-        return int(text[start:pos])
-
-    def parse_tower() -> tuple[str, ...]:
-        nonlocal pos
-        signs = []
-        while True:
-            if not text.startswith(_SQRT, pos):
-                raise error(f"expected {_SQRT} at position {pos}")
-            pos += 1
-            if text.startswith("3", pos):
-                pos += 1
-                break
-            if not text.startswith("(2", pos):
-                raise error(f"expected '(2' at position {pos}")
-            pos += 2
-            if pos >= len(text) or text[pos] not in ("+", "-", _MINUS):
-                raise error(f"expected sign at position {pos}")
-            signs.append("+" if text[pos] == "+" else "-")
-            pos += 1
-        for _ in signs:
-            if not text.startswith(")", pos):
-                raise error(f"expected ')' at position {pos}")
-            pos += 1
-        return tuple(signs)
-
-    multiplier = parse_int()
-    numerator = None
-    if text.startswith(_DOT, pos):
-        pos += 1
-        numerator = parse_tower()
-    elif text.startswith(_SQRT, pos):
-        numerator = parse_tower()
-    denominator: tuple[str, ...] | int = 1
-    if text.startswith("/", pos):
-        pos += 1
-        if text.startswith(_SQRT, pos):
-            denominator = parse_tower()
-        else:
-            denominator = parse_int()
-    if pos != len(text):
-        raise error(f"trailing characters at position {pos}")
-    return RadicalExpr(multiplier, numerator, denominator)
+    m = re.fullmatch(_RADICAL_PATTERN, text)
+    if m is None or any(opens is not None and len(opens) != 4 * len(closes)
+                        for opens, closes in (m.group(2, 3), m.group(5, 6))):
+        raise UsageError(f"cannot parse radical expression {text!r}")
+    numerator, denominator = (
+        None if opens is None else tuple(opens[3::4].replace(_MINUS, "-"))
+        for opens in (m[2], m[5]))
+    if denominator is None:
+        denominator = int(m[4] or 1)
+    return RadicalExpr(int(m[1]), numerator, denominator)
 
 
 def nested_radical_form(n: int, which: str) -> RadicalExpr:

@@ -30,14 +30,6 @@ from .exactnum import (PI_REFERENCE, Interval, Rational, UsageError, decimal_str
                        make_interval)
 
 
-class UnsupportedSeriesName(UsageError):
-    """Series tag is not one of SERIES_NAMES."""
-
-
-class InvalidTermCount(UsageError):
-    """Term count is out of range for the requested series."""
-
-
 @dataclass(frozen=True)
 class SeriesEstimate:
     series: str
@@ -99,12 +91,12 @@ def _rows(series: str, first: int, precision: int) -> Iterator[SeriesEstimate]:
     The inputs are checked when this is called; rows are computed as read.
     """
     if series not in _PASSES:
-        raise UnsupportedSeriesName(f"unknown series {series!r}")
+        raise UsageError(f"unknown series {series!r}")
     if precision < 1:
         raise UsageError("precision must be >= 1")
     min_terms = 1 if series in ("leibniz", "viete") else 0
     if first < min_terms:
-        raise InvalidTermCount(f"{series} needs terms >= {min_terms}, got {first}")
+        raise UsageError(f"{series} needs terms >= {min_terms}, got {first}")
     estimates = islice(_PASSES[series](precision), first, None)
     return (SeriesEstimate(series, n, estimate, _error(estimate, precision))
             for n, estimate in enumerate(estimates, first))
@@ -134,7 +126,7 @@ def iter_report(series_list: list[str], n_max: int,
     a caller can print rows as they come and still fail before printing.
     """
     if n_max < 1:
-        raise InvalidTermCount(f"n_max must be >= 1, got {n_max}")
+        raise UsageError(f"n_max must be >= 1, got {n_max}")
     passes = [_rows(series, 1, precision) for series in series_list]
     return (row for rows in passes for row in islice(rows, n_max))
 

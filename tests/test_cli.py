@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import pibounds
-from pibounds import cli, contfrac, polygon
+from pibounds import cli, contfrac, polygon, series
 from pibounds.cli import EXIT_CODES, main
 from pibounds.exactnum import (
     DivisionByZeroInterval,
@@ -264,6 +264,9 @@ class TestExitCodes:
         ("series --series leibniz --terms 0 --digits 0", "n_max must be >= 1, got 0"),
         ("cf --value 3.14.5", "not a plain positive decimal: '3.14.5'"),
         ("cf --value 0", "value must be > 0, got '0'"),
+        ("bounds --doublings 0 --digits 1 --max-precision 0",
+         "max_precision must be >= 1"),
+        ("approx --doublings 5 --max-precision -5", "max_precision must be >= 1"),
     ])
     def test_bad_values_exit_2(self, argv, message, capsys):
         assert main(argv.split()) == 2
@@ -305,11 +308,23 @@ class TestExitCodes:
         (contfrac.bound_expansion, (5, 8, "middle")),
         (polygon.nested_radical_form, (12, "x")),
         (polygon.parse_radical_expr, ("12/",)),
+        (polygon.nested_radical_form, (5, "c")),
+        (polygon.ladder, (1, 8, 0)),
+        (contfrac.parse_decimal, ("3.",)),
+        (contfrac.parse_decimal, ("0.000",)),
+        (contfrac.expand, (Fraction(0),)),
+        (series.evaluate_series, ("pi", 3, 8)),
+        (series.evaluate_series, ("viete", 0, 8)),
+        (series.iter_report, (["leibniz"], 0, 8)),
     ], ids=["seed_state", "make_interval", "decimal_str", "interval_arith",
-            "bound_expansion", "nested_radical_form", "parse_radical_expr"])
+            "bound_expansion", "nested_radical_form", "parse_radical_expr",
+            "side_count", "max_precision", "malformed_decimal", "zero_decimal",
+            "expand_zero", "series_name", "term_count", "n_max"])
     def test_argument_checks_raise_usage_error(self, fn, args):
-        with pytest.raises(UsageError):
+        """Every argument check raises UsageError itself, not a subclass."""
+        with pytest.raises(UsageError) as exc_info:
             fn(*args)
+        assert type(exc_info.value) is UsageError
 
     def test_huge_table_fails_fast(self, capsys):
         """The precision a table needs is known before any rung is computed."""

@@ -86,6 +86,7 @@ def requests() -> list[str]:
         "cf --value 0.000",
         "series --series leibniz --terms 0",
         "series --series wallis --terms 3 --digits 0",
+        "bounds --doublings 0 --digits 1 --max-precision -5",
     ]
     return out
 

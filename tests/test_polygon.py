@@ -26,6 +26,7 @@ from pibounds.exactnum import (
     PI_REFERENCE,
     Interval,
     Rational,
+    UsageError,
     ceil_div,
     interval_add,
     interval_div,
@@ -40,7 +41,6 @@ from pibounds.polygon import (
     PrecisionExhausted,
     RadicalExpr,
     ResourceLimit,
-    UnsupportedSideCount,
     bounds_at,
     eval_radical,
     halve_angle,
@@ -578,10 +578,14 @@ class TestNestedRadicalForm:
     def test_parse_accepts_ascii_minus(self):
         assert (parse_radical_expr("12·√(2-√3)/2")
                 == nested_radical_form(12, "c"))
+        assert parse_radical_expr("12√3") == RadicalExpr(12, (), 1)
+        assert (parse_radical_expr("48·√(2−√(2+√3))/√(2-√(2+√3))")
+                == RadicalExpr(48, ("-", "+"), ("-", "+")))
 
     def test_unsupported_side_counts(self):
         for n in (0, 1, 2, 4, 5, 7, 9, 15, 240):
-            with pytest.raises(UnsupportedSideCount):
+            with pytest.raises(UsageError,
+                               match=rf"side count must be 3 \* 2\*\*k, got {n}$"):
                 nested_radical_form(n, "c")
 
     def test_which_validation(self):
@@ -590,8 +594,10 @@ class TestNestedRadicalForm:
 
     def test_parse_rejects_garbage(self):
         for text in ("", "12·", "√3", "12·√(2*√3)",
-                     "12·√(2+√3", "3/2extra"):
-            with pytest.raises(ValueError):
+                     "12·√(2+√3", "3/2extra", "12·√(2+√3))",
+                     "12·√(2−√(2+√3)", "12/√(2+√3))", "12//2", "·√3",
+                     "12·/2"):
+            with pytest.raises(UsageError, match="cannot parse radical expression"):
                 parse_radical_expr(text)
 
     def test_radical_node_validation(self):
