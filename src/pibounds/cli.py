@@ -28,6 +28,28 @@ EXIT_CODES = {UsageError: EXIT_USAGE, polygon.PrecisionExhausted: EXIT_PRECISION
               contfrac.NoValidBound: EXIT_NO_BOUND}
 
 
+def _json_text(obj: object) -> str:
+    """``json.dumps(obj, ensure_ascii=False)``.  json writes an int with
+    ``int.__repr__``, which refuses one past the int-to-str digit limit; the
+    text is then built here, with every int written by ``int_str``."""
+    try:
+        return json.dumps(obj, ensure_ascii=False)
+    except ValueError:
+        pass
+
+    def write(value: object) -> str:
+        if isinstance(value, dict):
+            return "{" + ", ".join(f"{write(k)}: {write(v)}"
+                                   for k, v in value.items()) + "}"
+        if isinstance(value, list):
+            return "[" + ", ".join(map(write, value)) + "]"
+        if type(value) is int:
+            return int_str(value)
+        return json.dumps(value, ensure_ascii=False)
+
+    return write(obj)
+
+
 def _cells(bounds: polygon.PolygonBounds, digits: int) -> tuple[str, str, str, str]:
     """c_lo, c_hi, C_lo, C_hi as outward-rounded strings: lo floored, hi ceiled."""
     return (*bounds.lower.decimal_bounds(digits),
@@ -43,9 +65,9 @@ def cmd_bounds(args: argparse.Namespace) -> None:
     c_lo, c_hi, t_lo, t_hi = _cells(bounds, args.digits)
     if args.format == "csv":
         print("n,c_lo,c_hi,C_lo,C_hi")
-        print(f"{bounds.n},{c_lo},{c_hi},{t_lo},{t_hi}")
+        print(f"{int_str(bounds.n)},{c_lo},{c_hi},{t_lo},{t_hi}")
     elif args.format == "json":
-        print(json.dumps({
+        print(_json_text({
             "command": "bounds",
             "doublings": args.doublings,
             "digits": args.digits,
@@ -54,7 +76,7 @@ def cmd_bounds(args: argparse.Namespace) -> None:
             "C_lo": t_lo, "C_hi": t_hi,
         }))
     else:
-        print(f"n = {bounds.n}")
+        print(f"n = {int_str(bounds.n)}")
         print(f"c_n in [{c_lo}, {c_hi}]")
         print(f"C_n in [{t_lo}, {t_hi}]")
 
@@ -83,20 +105,20 @@ def cmd_table(args: argparse.Namespace) -> None:
     if args.format == "csv":
         print("n,c_form,c_lo,c_hi,C_form,C_lo,C_hi")
         for r in rows:
-            print(f"{r['n']},{r['c_form']},{r['c_lo']},{r['c_hi']},"
+            print(f"{int_str(r['n'])},{r['c_form']},{r['c_lo']},{r['c_hi']},"
                   f"{r['C_form']},{r['C_lo']},{r['C_hi']}")
     elif args.format == "json":
-        print(json.dumps({
+        print(_json_text({
             "command": "table",
             "max_doublings": args.max_doublings,
             "digits": args.digits,
             "rows": rows,
-        }, ensure_ascii=False))
+        }))
     else:
         header = ("n", "c_n closed form", "c_n enclosure",
                   "C_n closed form", "C_n enclosure")
         cells = [header] + [
-            (str(r["n"]), str(r["c_form"]), f"[{r['c_lo']}, {r['c_hi']}]",
+            (int_str(r["n"]), str(r["c_form"]), f"[{r['c_lo']}, {r['c_hi']}]",
              str(r["C_form"]), f"[{r['C_lo']}, {r['C_hi']}]") for r in rows]
         widths = [max(len(row[i]) for row in cells) for i in range(5)]
         for row in cells:
@@ -131,7 +153,7 @@ def cmd_cf(args: argparse.Namespace) -> None:
                                    args.from_bound,
                                    max_precision=args.max_precision)
     label = "c_n" if exp.which == "lower" else "C_n"
-    print(f"bound = {exp.which} ({label}), n = {exp.n}, digits = {exp.digits}")
+    print(f"bound = {exp.which} ({label}), n = {int_str(exp.n)}, digits = {exp.digits}")
     print(f"decimal = {exp.decimal_text} = {fraction_str(exp.decimal)}")
     print(f"coefficients = {exp.cf}")
     _print_convergents([c.convergent for c in exp.candidates],
@@ -154,7 +176,7 @@ def _candidate_summary(exp: contfrac.BoundExpansion) -> str:
 def cmd_approx(args: argparse.Namespace) -> None:
     result = contfrac.certified_rational_bounds(
         args.doublings, args.digits, args.den_cap, args.max_precision)
-    print(f"n = {result.n}, den_cap = {result.den_cap}")
+    print(f"n = {int_str(result.n)}, den_cap = {result.den_cap}")
     print(f"lower candidates (from {result.lower_expansion.decimal_text}): "
           f"{_candidate_summary(result.lower_expansion)}")
     print(f"upper candidates (from {result.upper_expansion.decimal_text}): "
@@ -200,7 +222,7 @@ def cmd_export_fig3(args: argparse.Namespace) -> None:
     rungs = list(polygon.ladder(args.max_doublings, args.digits, args.max_precision))
     print("n,c_n,c_n_hi,C_n,C_n_hi")
     for bounds in rungs:
-        print(bounds.n, *_cells(bounds, args.digits), sep=",")
+        print(int_str(bounds.n), *_cells(bounds, args.digits), sep=",")
     for label, value in _REFERENCES:
         cell = decimal_str(value, args.digits)
         print(f"{label},{cell},{cell},{cell},{cell}")

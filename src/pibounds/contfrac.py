@@ -11,11 +11,17 @@ construction, since h_i k_{i-1} - h_{i-1} k_i = (-1)**(i-1), so no gcd is
 needed to build one, and certifying it is integer cross-multiplication
 against the enclosure's mantissas (`exactnum.side_of`).  The Fraction
 ``value`` is built only when read.
+
+Few convergents need that comparison.  Those on the far side of the outward
+decimal are certified by their index parity; those on the near side approach
+the decimal monotonically, so their verdicts form three runs whose ends two
+bisections find: O(log n) ``side_of`` calls for n convergents.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -156,23 +162,34 @@ def _expansion(bounds: polygon.PolygonBounds, digits: int, which: str,
                den_cap: int) -> BoundExpansion:
     # round the decimal outward so it stays on the certified side of pi
     if which == "lower":
-        enclosure, parity, far_side = bounds.lower, 0, Side.BELOW
+        enclosure, parity, far_side, opposite = bounds.lower, 0, Side.BELOW, Side.ABOVE
         decimal = enclosure.with_precision(digits).lo_rational
     else:
-        enclosure, parity, far_side = bounds.upper, 1, Side.ABOVE
+        enclosure, parity, far_side, opposite = bounds.upper, 1, Side.ABOVE, Side.BELOW
         decimal = enclosure.with_precision(digits).hi_rational
     cf = expand(decimal)
+    convs = convergents(cf)
     # The convergents alternate around the decimal D, even indices below it
     # and odd ones above, strictly except the last, which is D.  As D <= lo
     # (lower) or D >= hi (upper), one on the far side of D is certified by
-    # its index parity alone; side_of decides the rest.
-    last = len(cf.coeffs) - 1
+    # its index parity alone.  The near-side ones move monotonically toward
+    # D, across the enclosure, so their verdicts are three runs in order:
+    # opposite, WITHIN, far_side.  Two bisections find where the runs end.
+    verdicts = [far_side] * len(convs)
+    near = convs[1 - parity::2]
+    past_opposite = bisect_left(
+        near, True, key=lambda c: side_of(c, enclosure) is not opposite)
+    past_within = bisect_left(
+        near, True, past_opposite, key=lambda c: side_of(c, enclosure) is far_side)
+    verdicts[1 - parity::2] = ([opposite] * past_opposite
+                               + [Side.WITHIN] * (past_within - past_opposite)
+                               + [far_side] * (len(near) - past_within))
+    if convs[-1].index % 2 == parity:
+        # the last convergent is D itself, which may sit on lo (hi) exactly
+        verdicts[-1] = side_of(convs[-1], enclosure)
     candidates = tuple(
-        BoundCandidate(conv,
-                       far_side if conv.index % 2 == parity and conv.index < last
-                       else side_of(conv, enclosure),
-                       conv.denominator <= den_cap)
-        for conv in convergents(cf))
+        BoundCandidate(conv, verdict, conv.denominator <= den_cap)
+        for conv, verdict in zip(convs, verdicts))
     return BoundExpansion(which=which, n=bounds.n, digits=digits,
                           decimal=decimal, cf=cf, candidates=candidates)
 
@@ -209,7 +226,7 @@ def certified_rational_bounds(k: int, digits: int, den_cap: int,
         if not eligible:
             raise NoValidBound(
                 f"no convergent with denominator <= {den_cap} certified "
-                f"{wanted.value} the {exp.which} enclosure at n={exp.n}")
+                f"{wanted.value} the {exp.which} enclosure at n={int_str(exp.n)}")
         return eligible[-1].convergent.value
 
     return CertifiedBounds(n=bounds.n, den_cap=den_cap,

@@ -49,6 +49,7 @@ import re
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
+from decimal import Decimal
 from itertools import islice
 
 from .exactnum import (
@@ -57,6 +58,7 @@ from .exactnum import (
     Rational,
     UsageError,
     ceil_div,
+    int_str,
     interval_add,
     interval_div,
     interval_mul,
@@ -86,7 +88,7 @@ def _doubling_index(n: int) -> int:
         m = n // 3
         if m & (m - 1) == 0:
             return m.bit_length() - 1
-    raise UsageError(f"side count must be 3 * 2**k, got {n}")
+    raise UsageError(f"side count must be 3 * 2**k, got {int_str(n)}")
 
 
 @dataclass(frozen=True)
@@ -132,7 +134,7 @@ def halve_angle(state: AngleState) -> AngleState:
     cos_lo = math.isqrt((s + state.cos_enc.lo) * half)
     if cos_lo <= 0:
         raise PrecisionExhausted(
-            f"cosine enclosure degenerated at n={2 * state.n}, precision={p}")
+            f"cosine enclosure degenerated at n={int_str(2 * state.n)}, precision={p}")
     cos_hi = isqrt_ceil((s + state.cos_enc.hi) * half)
     c = state.c_enc
     return AngleState(k=state.k + 1, n=2 * state.n,
@@ -147,7 +149,7 @@ def perimeters(state: AngleState) -> PolygonBounds:
     cos, c = state.cos_enc, state.c_enc
     if cos.lo <= 0 or c.lo <= 0:
         raise PrecisionExhausted(
-            f"cosine or perimeter enclosure not positive at n={state.n}")
+            f"cosine or perimeter enclosure not positive at n={int_str(state.n)}")
     s = 10**state.precision
     return PolygonBounds(
         n=state.n, lower=c,
@@ -164,7 +166,7 @@ def doublings(state: AngleState) -> Iterator[AngleState]:
 
 def _checked(bounds: PolygonBounds, limit: int) -> PolygonBounds:
     if max(bounds.lower.hi - bounds.lower.lo, bounds.upper.hi - bounds.upper.lo) >= limit:
-        raise PrecisionExhausted(f"perimeter enclosure too wide at n={bounds.n}")
+        raise PrecisionExhausted(f"perimeter enclosure too wide at n={int_str(bounds.n)}")
     return bounds
 
 
@@ -226,7 +228,7 @@ class RadicalExpr:
                 raise ValueError("tower signs must be '+' or '-'")
 
     def render(self) -> str:
-        parts = [str(self.multiplier)]
+        parts = [int_str(self.multiplier)]
         if self.numerator is not None:
             if self.numerator:
                 parts.append(_DOT)
@@ -252,7 +254,9 @@ _RADICAL_PATTERN = rf"(\d+)(?:{_DOT}?{_TOWER})?(?:/(?:(\d+)|{_TOWER}))?"
 
 
 def parse_radical_expr(text: str) -> RadicalExpr:
-    """Inverse of RadicalExpr.render (ASCII '-' accepted for the minus sign)."""
+    """Inverse of RadicalExpr.render (ASCII '-' accepted for the minus sign).
+    Integers are read by Decimal, which has no digit limit where ``int(str)``
+    has one."""
     m = re.fullmatch(_RADICAL_PATTERN, text)
     if m is None or any(opens is not None and len(opens) != 4 * len(closes)
                         for opens, closes in (m.group(2, 3), m.group(5, 6))):
@@ -261,8 +265,8 @@ def parse_radical_expr(text: str) -> RadicalExpr:
         None if opens is None else tuple(opens[3::4].replace(_MINUS, "-"))
         for opens in (m[2], m[5]))
     if denominator is None:
-        denominator = int(m[4] or 1)
-    return RadicalExpr(int(m[1]), numerator, denominator)
+        denominator = int(Decimal(m[4] or 1))
+    return RadicalExpr(int(Decimal(m[1])), numerator, denominator)
 
 
 def nested_radical_form(n: int, which: str) -> RadicalExpr:

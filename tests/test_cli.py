@@ -416,6 +416,13 @@ class TestIntDigitLimit:
         "series --series viete --terms 3 --digits 1000",
         "series --series wallis --terms 700 --digits 8",
         "cf --value 3." + ("31415926535897932384" * 45)[1:],
+        # n = 3 * 2**2200 has 664 digits
+        "bounds --doublings 2200 --digits 1",
+        "bounds --doublings 2200 --digits 1 --format csv",
+        "bounds --doublings 2200 --digits 1 --format json",
+        "export-fig3 --max-doublings 2200 --digits 1",
+        "cf --from-bound lower --doublings 2200 --digits 1",
+        "approx --doublings 2200 --digits 1 --den-cap 10",
     ]
     SCRIPT = ("import contextlib, io, json, sys\n"
               "from pibounds.cli import main\n"
@@ -443,6 +450,51 @@ class TestIntDigitLimit:
         for argv, want, got in zip(self.REQUESTS, unlimited, limited):
             assert want[0] == 0 and want[2] == "", argv
             assert got == want, argv
+
+    N_TEXT = str(3 * 2**2200)  # written before any test lowers the limit
+
+    @pytest.fixture
+    def limit_640(self):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        yield
+        sys.set_int_max_str_digits(old)
+
+    @pytest.mark.parametrize("argv,line", [
+        ("bounds --doublings 2200 --digits 1", "n = {n}"),
+        ("bounds --doublings 2200 --digits 1 --format csv", "{n},3.1,3.2,3.1,3.2"),
+        ("bounds --doublings 2200 --digits 1 --format json",
+         '{{"command": "bounds", "doublings": 2200, "digits": 1, "n": {n}, '
+         '"c_lo": "3.1", "c_hi": "3.2", "C_lo": "3.1", "C_hi": "3.2"}}'),
+        ("export-fig3 --max-doublings 2200 --digits 1", "{n},3.1,3.2,3.1,3.2"),
+        ("cf --from-bound lower --doublings 2200 --digits 1",
+         "bound = lower (c_n), n = {n}, digits = 1"),
+        ("approx --doublings 2200 --digits 1 --den-cap 10", "n = {n}, den_cap = 10"),
+    ])
+    def test_printed_n_is_three_times_two_to_the_k(self, argv, line, limit_640,
+                                                   capsys):
+        assert main(argv.split()) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert line.format(n=self.N_TEXT) in captured.out.splitlines()
+
+    def test_no_bound_message_past_the_limit(self, limit_640, capsys):
+        assert main("approx --doublings 2200 --digits 1 --den-cap 1".split()) == 4
+        assert f"enclosure at n={self.N_TEXT}\n" in capsys.readouterr().err
+
+    JSON_OBJ = {"command": "table", "rows": [{"n": 3 * 2**2200, "c_form": "3√3/2"}]}
+    JSON_TEXT = json.dumps(JSON_OBJ, ensure_ascii=False)
+
+    def test_json_text_past_the_limit(self, limit_640):
+        with pytest.raises(ValueError):
+            json.dumps(self.JSON_OBJ)
+        assert cli._json_text(self.JSON_OBJ) == self.JSON_TEXT
+
+    def test_radical_form_past_the_limit(self, limit_640):
+        form = polygon.nested_radical_form(3 * 2**2200, "c")
+        text = form.render()
+        assert text.startswith(self.N_TEXT + "·√(2−√(2+")
+        assert polygon.parse_radical_expr(text) == form
 
     def test_bounds_past_the_default_limit(self, capsys):
         assert main("bounds --doublings 5 --digits 4400".split()) == 0

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pibounds.contfrac as contfrac_module
@@ -256,6 +256,61 @@ class TestBoundExpansion:
             assert exp.cf.coeffs == coeffs
             assert len(coeffs) % 2 == (which == "lower")  # last index on the far side
             assert exp.candidates[-1].verdict is Side.WITHIN
+
+    @pytest.mark.parametrize("k,digits", [(41, 400), (120, 1000)])
+    @pytest.mark.parametrize("which", ["lower", "upper"])
+    def test_bisection_bounds_side_of_calls(self, k, digits, which, monkeypatch):
+        """Near-side verdicts are found by two bisections, plus one side_of
+        for the last convergent when it is on the far side."""
+        calls = 0
+
+        def counting_side_of(q, iv):
+            nonlocal calls
+            calls += 1
+            return side_of(q, iv)
+
+        monkeypatch.setattr(contfrac_module, "side_of", counting_side_of)
+        exp = bound_expansion(k, digits, which)
+        n = len(exp.candidates)
+        assert calls <= 2 * math.ceil(math.log2(n / 2 + 1)) + 1, (calls, n)
+        enclosure = getattr(bounds_at(k, digits), which)
+        assert all(c.verdict is side_of(c.convergent, enclosure)
+                   for c in exp.candidates)
+
+    @given(precision=st.integers(1, 30), digits=st.integers(1, 40),
+           data=st.data())
+    @settings(max_examples=300)
+    def test_every_verdict_is_side_of(self, precision, digits, data):
+        lo = data.draw(st.integers(10**precision, 10**(precision + 1)))
+        scale = data.draw(st.integers(0, precision))
+        enclosure = Interval(lo, lo + data.draw(st.integers(0, 10**scale)),
+                             precision)
+        bounds = PolygonBounds(n=96, lower=enclosure, upper=enclosure)
+        for which in ("lower", "upper"):
+            exp = contfrac_module._expansion(bounds, digits, which, 100)
+            for c in exp.candidates:
+                assert c.verdict is side_of(c.convergent, enclosure), (which, c)
+
+    @pytest.mark.parametrize("which,enclosure,near_verdicts", [
+        # odd convergents of 3.14159265 fall toward it: 22/7, 355/113 and
+        # 102928/32763 are above 3.141592650100, 411357/130939 lies in the
+        # enclosure, 1953857/621932 and the decimal itself are below it
+        ("lower", Interval(3141592650001, 3141592650100, 12),
+         ["above"] * 3 + ["within"] + ["below"] * 2),
+        # even convergents of 3.14159265 rise toward it: up to 308429/98176
+        # below 3.141592649990, 1542500/490993 within, 15219499/4844517 above
+        ("upper", Interval(3141592649990, 3141592649999, 12),
+         ["below"] * 4 + ["within"] + ["above"]),
+    ])
+    def test_near_side_with_all_three_runs(self, which, enclosure, near_verdicts):
+        bounds = PolygonBounds(n=96, lower=enclosure, upper=enclosure)
+        exp = contfrac_module._expansion(bounds, 8, which, 100)
+        assert exp.decimal_text == "3.14159265"
+        assert exp.cf.coeffs == (3, 7, 15, 1, 288, 1, 2, 1, 3, 1, 7, 4)
+        near = exp.candidates[(which == "lower")::2]
+        assert [c.verdict.value for c in near] == near_verdicts
+        assert all(c.verdict is side_of(c.convergent, enclosure)
+                   for c in exp.candidates)
 
 
 class TestClassicChain:
