@@ -1,9 +1,11 @@
 """The polygon ladder: from the triangle to the 96-gon.
 
 Doubling the side count of inscribed and circumscribed polygons squeezes the
-circle's circumference from both sides.  Starting at cos(60) = 1/2 the
-half-angle identity produces every later cosine as a nested square root, so
-the closed forms below fall out of the recurrence itself.
+circle's circumference from both sides.  Starting at the triangle, c_3 =
+sqrt(27/4) and C_3 = sqrt(27), Archimedes' step (the harmonic mean of c_n and
+C_n gives C_2n, then the geometric mean of c_n and C_2n gives c_2n) produces
+every later perimeter from square roots and divisions alone; the closed forms
+below are the nested square roots it reaches.
 """
 
 from pibounds import bounds_at, eval_radical, ladder, nested_radical_form

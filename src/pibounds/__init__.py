@@ -38,7 +38,6 @@ from .exactnum import (
     side_of,
 )
 from .polygon import (
-    AngleState,
     PolygonBounds,
     PrecisionExhausted,
     RadicalExpr,
@@ -49,7 +48,6 @@ from .polygon import (
     ladder,
     nested_radical_form,
     parse_radical_expr,
-    perimeters,
     seed_state,
 )
 from .series import (
@@ -60,7 +58,6 @@ from .series import (
 )
 
 __all__ = [
-    "AngleState",
     "BoundCandidate",
     "BoundExpansion",
     "CertifiedBounds",
@@ -98,7 +95,6 @@ __all__ = [
     "nested_radical_form",
     "parse_decimal",
     "parse_radical_expr",
-    "perimeters",
     "seed_state",
     "side_of",
 ]

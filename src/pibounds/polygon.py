@@ -3,36 +3,38 @@
 For a circle of unit diameter the inscribed and circumscribed regular n-gons
 have perimeters
 
-    c_n = n * sin(180/n),        C_n = n * tan(180/n) = c_n / cos(180/n),
+    c_n = n * sin(180/n),        C_n = n * tan(180/n),
 
-and c_n < pi < C_n.  Restricting to n = 3 * 2**k, every needed cosine follows
-from cos(60 deg) = 1/2 through the half-angle identity
+and c_n < pi < C_n.  Archimedes' Prop. 3, in Pfaff's form, doubles n with a
+harmonic and then a geometric mean (Phillips, "Archimedes the Numerical
+Analyst", 1981):
 
-    cos(x) = sqrt((1 + cos(2x)) / 2),
+    C_2n = 2 c_n C_n / (c_n + C_n),        c_2n = sqrt(c_n * C_2n).
 
-so the whole ladder runs on certified square roots alone.  No numeric angle is
-ever stored: an angle exists only as the label 180/n, because writing it in
-radians would smuggle in the very constant we are bounding.
+Restricted to n = 3 * 2**k, the ladder starts at the triangle, c_3 =
+sqrt(27/4) and C_3 = sqrt(27), and runs on certified divisions and square
+roots alone.  No numeric angle is ever stored: an angle exists only as the
+label 180/n, because writing it in radians would smuggle in the very constant
+we are bounding.  Nor is a cosine: c_n / C_n = cos(180/n), but no output
+needs it.
 
-The state carries the inscribed perimeter, not the sine: since c_2n =
-2n sin(x/2) = n sin(x) / cos(x/2), a doubling is c_2n = c_n / cos(180/2n),
-free of the cancellation that makes sqrt(1 - cos^2) collapse as cos -> 1.
-Its relative error grows by a few units in the last place per rung, where
-n * sin would multiply the sine's error by n, so `ladder` needs only
-O(log K) guard digits.
+Both means are homogeneous of degree 1, so a relative error passes through
+them unchanged and each rung adds only its own roundings, a few units in the
+last place; `ladder` needs only O(log K) guard digits.  (Carrying the sine
+instead, as c_n = n * sin, would multiply the sine's error by n.)
 
-Every step is monotone on positive inputs: sqrt((1 + cos)/2) increases with
-cos, and c/cos increases with c and decreases with cos.  So `halve_angle` and
-`perimeters` work on the raw mantissas at scale 10**p and round each endpoint
-once, in its own direction, instead of taking the four corners of a generic
-interval division (Moore, Kearfott & Cloud, *Introduction to Interval
-Analysis*, 2009).  The halving is folded into the square-root argument, which
-leaves two long divisions for c_2n and two for C_n per rung.  The positivity
-checks that raise `PrecisionExhausted` are what make these directions valid.
+Both means also increase in each argument.  So `halve_angle` works on the raw
+mantissas and rounds each endpoint once, in its own direction, lower ends from
+lower ends and upper from upper: one long division and one integer square
+root per endpoint, instead of the four corners of generic interval operations
+(Moore, Kearfott & Cloud, *Introduction to Interval Analysis*, 2009).  The
+positivity check that raises `PrecisionExhausted` is what makes these
+directions valid.
 
 `doublings` is the one loop over the step.  `ladder` runs it from the
 triangle, yielding rungs k = 0..K as they are made, and `bounds_at` is its
-last rung; `series` runs it from the 2-gon (cos 90 deg = 0) as Viete's product.
+last rung; `series` runs it from the 4-gon (c_4 = sqrt(8), C_4 = 4) as
+Viete's product.
 
 The module also builds and evaluates the nested-radical closed forms
 n * sqrt(2 - sqrt(2 + ... sqrt(3)))/2 that the doubling produces for each n.
@@ -76,7 +78,8 @@ _DOT = "·"    # multiplication dot
 
 
 class PrecisionExhausted(PiBoundsError, ArithmeticError):
-    """An intermediate enclosure degenerated (e.g. a cosine bound hit zero)."""
+    """An enclosure degenerated (a perimeter's lower end not positive) or
+    came out wider than the digits asked for."""
 
 
 class ResourceLimit(PiBoundsError, RuntimeError):
@@ -92,17 +95,6 @@ def _doubling_index(n: int) -> int:
 
 
 @dataclass(frozen=True)
-class AngleState:
-    """Enclosures of cos(180/n) and of c_n; n = 3 * 2**k, or 2**(k+1) for Viete."""
-
-    k: int
-    n: int
-    cos_enc: Interval
-    c_enc: Interval
-    precision: int
-
-
-@dataclass(frozen=True)
 class PolygonBounds:
     """Enclosures of the inscribed (lower) and circumscribed (upper) perimeters."""
 
@@ -111,57 +103,44 @@ class PolygonBounds:
     upper: Interval
 
 
-def seed_state(precision: int) -> AngleState:
-    """Starting triangle: cos(60 deg) = 1/2 exactly, c_3 = sqrt(27/4)."""
+def seed_state(precision: int) -> PolygonBounds:
+    """Starting triangle: c_3 = sqrt(27/4) and C_3 = sqrt(27)."""
     if precision < 1:
         raise UsageError("precision must be >= 1")
-    cos_enc = make_interval(Rational(1, 2), precision)
-    c_enc = interval_sqrt(make_interval(Rational(27, 4), precision))
-    return AngleState(k=0, n=3, cos_enc=cos_enc, c_enc=c_enc,
-                      precision=precision)
-
-
-def halve_angle(state: AngleState) -> AngleState:
-    """One doubling step n -> 2n via the half-angle identity.
-
-    With s = 10**p the new cosine is [isqrt((s + lo) * s/2),
-    isqrt_ceil((s + hi) * s/2)] (s is even, so s/2 is exact) and the new
-    perimeter c_2n = c_n / cos' is [c.lo * s // cos'.hi, ceil(c.hi * s / cos'.lo)].
-    """
-    p = state.precision
-    s = 10**p
-    half = s // 2
-    cos_lo = math.isqrt((s + state.cos_enc.lo) * half)
-    if cos_lo <= 0:
-        raise PrecisionExhausted(
-            f"cosine enclosure degenerated at n={int_str(2 * state.n)}, precision={p}")
-    cos_hi = isqrt_ceil((s + state.cos_enc.hi) * half)
-    c = state.c_enc
-    return AngleState(k=state.k + 1, n=2 * state.n,
-                      cos_enc=Interval(cos_lo, cos_hi, p),
-                      c_enc=Interval(c.lo * s // cos_hi, ceil_div(c.hi * s, cos_lo), p),
-                      precision=p)
-
-
-def perimeters(state: AngleState) -> PolygonBounds:
-    """c_n as carried, and C_n = c_n / cos: its lower end rounded down
-    against cos.hi, its upper end up against cos.lo."""
-    cos, c = state.cos_enc, state.c_enc
-    if cos.lo <= 0 or c.lo <= 0:
-        raise PrecisionExhausted(
-            f"cosine or perimeter enclosure not positive at n={int_str(state.n)}")
-    s = 10**state.precision
     return PolygonBounds(
-        n=state.n, lower=c,
-        upper=Interval(c.lo * s // cos.hi, ceil_div(c.hi * s, cos.lo),
-                       state.precision))
+        n=3, lower=interval_sqrt(make_interval(Rational(27, 4), precision)),
+        upper=interval_sqrt(make_interval(27, precision)))
 
 
-def doublings(state: AngleState) -> Iterator[AngleState]:
-    """``state``, then each halving of it: the one loop over the recurrence."""
+def halve_angle(bounds: PolygonBounds) -> PolygonBounds:
+    """One doubling step n -> 2n: Archimedes' Prop. 3 in Pfaff's form.
+
+    With c = c_n and t = C_n, C_2n = 2 c t / (c + t) is
+    [2 c.lo t.lo // (c.lo + t.lo), ceil(2 c.hi t.hi / (c.hi + t.hi))], then
+    c_2n = sqrt(c C_2n) is [isqrt(c.lo C_2n.lo), isqrt_ceil(c.hi C_2n.hi)].
+    Both means are homogeneous of degree 1, so they act on the mantissas at
+    any one scale.
+    """
+    c, t = bounds.lower, bounds.upper
+    if c.precision != t.precision:
+        raise UsageError(f"perimeter precisions differ: {c.precision} and {t.precision}")
+    if c.lo <= 0 or t.lo <= 0:
+        raise PrecisionExhausted(
+            f"perimeter enclosure not positive at n={int_str(bounds.n)}")
+    t_lo = 2 * c.lo * t.lo // (c.lo + t.lo)
+    t_hi = ceil_div(2 * c.hi * t.hi, c.hi + t.hi)
+    p = c.precision
+    return PolygonBounds(
+        n=2 * bounds.n,
+        lower=Interval(math.isqrt(c.lo * t_lo), isqrt_ceil(c.hi * t_hi), p),
+        upper=Interval(t_lo, t_hi, p))
+
+
+def doublings(bounds: PolygonBounds) -> Iterator[PolygonBounds]:
+    """``bounds``, then each doubling of it: the one loop over the recurrence."""
     while True:
-        yield state
-        state = halve_angle(state)
+        yield bounds
+        bounds = halve_angle(bounds)
 
 
 def _checked(bounds: PolygonBounds, limit: int) -> PolygonBounds:
@@ -178,12 +157,19 @@ def ladder(max_k: int, digits: int,
     10**5-rung table although it needs few digits) are checked at the call,
     before any work.  One pass at p = digits + 6 + len(str(max_k)) digits
     then makes each rung as it is read; one too wide would raise
-    PrecisionExhausted before it is yielded.  It cannot be: with s = 10**p,
-    cos.lo >= s/2 and cos.hi <= s, so nothing degenerates and c.lo never
-    shrinks; cos' has slope 1/(4 cos') < 0.29, so it stays <= 2 units wide;
-    a step adds < 2 pi/cos'^2 + 2 < 10.4 units to width(c)/cos'; and the
-    1/cos' multiply to c_n/c_3 < pi/c_3 < 1.21.  So c_n is < 13(k + 1) units
-    wide and C_n < 15(k + 1), against 10**(p - digits) >= 10**6 * (max_k + 1).
+    PrecisionExhausted before it is yielded.  It cannot be.  H and G, the
+    harmonic and geometric means, never fall below their smaller argument,
+    so neither lower end ever falls below the seed's smaller one (> 0 at any
+    p) and nothing degenerates.  Both means increase in each argument and are
+    homogeneous of degree 1: with s = 10**p, lower ends c.lo >= (1 - a) c_n s
+    and C.lo >= (1 - a) C_n s give H >= (1 - a) C_2n s, and G likewise, and
+    the upper ends mirror this.  So a relative error passes each mean
+    unchanged, and a rung's two roundings, each under 1 unit, add
+    < 1/(C_2n s) + 1/(c_2n s) < (1/pi + 1/3)/s < 0.652/s.
+    The seed's relative errors are < 0.54/s, so both ends of both perimeters
+    are within 0.652(k + 1)/s of the true value, relatively.  So c_n < pi is
+    < 4.1(k + 1) units wide, and C_n (1 unit wide at k = 0, < 2 sqrt(3)
+    after) < 4.6(k + 1), against 10**(p - digits) >= 10**6 * (max_k + 1).
     """
     if max_k < 0:
         raise UsageError("doubling count must be >= 0")
@@ -195,8 +181,8 @@ def ladder(max_k: int, digits: int,
         raise ResourceLimit(f"needed precision exceeds max_precision={max_precision}")
     precision = digits + 6 + len(str(max_k))
     limit = 10 ** (precision - digits)
-    return (_checked(perimeters(state), limit)
-            for state in islice(doublings(seed_state(precision)), max_k + 1))
+    return (_checked(bounds, limit)
+            for bounds in islice(doublings(seed_state(precision)), max_k + 1))
 
 
 def bounds_at(k: int, digits: int,

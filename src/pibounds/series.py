@@ -14,9 +14,10 @@ row N - 1 by one term, so `convergence_report` costs O(N) terms, not O(N^2),
 and `iter_report` hands the rows out one at a time as the pass makes them.
 The first four truncations are rational and exact.  Viete's row N,
 2 / prod_{j=1..N} cos(90/2**j) = 2**(N+1) sin(90/2**N), is the inscribed
-perimeter c_n of the n-gon, n = 2**(N+1): its pass is `polygon.doublings`
-seeded at the 2-gon (cos 90 = 0, c_2 = 2), and each row is that certified
-interval rounded outward to ``precision`` digits.
+perimeter c_n of the n-gon, n = 2**(N+1): its pass is the literal 2 for
+N = 0, then `polygon.doublings` seeded at the 4-gon (c_4 = sqrt(8), C_4 = 4),
+and each row is that certified interval rounded outward to ``precision``
+digits.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from itertools import count, islice
 
 from . import polygon
 from .exactnum import (PI_REFERENCE, Interval, Rational, UsageError, decimal_str,
-                       make_interval)
+                       interval_sqrt, make_interval)
 
 
 @dataclass(frozen=True)
@@ -71,13 +72,17 @@ def _wallis(precision: int) -> Iterator[Rational]:
 
 
 def _viete(precision: int) -> Iterator[Interval]:
-    # c's enclosure widens by about five units of its last place per row, so
-    # 10 guard digits keep every row within 2 units of ``precision`` to N ~ 10**9
+    # row 0 is the literal 2, which no request reaches (viete needs terms >= 1);
+    # rows N >= 1 are c_n from the 4-gon.  c's enclosure widens by under 4.1
+    # units of its last place per row (the bound proved in `polygon.ladder`),
+    # so 10 guard digits keep every row within 2 units of ``precision`` to
+    # N ~ 10**9
+    yield make_interval(2, precision)
     p = precision + 10
-    two_gon = polygon.AngleState(k=0, n=2, cos_enc=make_interval(0, p),
-                                 c_enc=make_interval(2, p), precision=p)
-    return (state.c_enc.with_precision(precision)
-            for state in polygon.doublings(two_gon))
+    four_gon = polygon.PolygonBounds(4, interval_sqrt(make_interval(8, p)),
+                                     make_interval(4, p))
+    for bounds in polygon.doublings(four_gon):
+        yield bounds.lower.with_precision(precision)
 
 
 _PASSES = {"leibniz": _leibniz, "nilakantha": _nilakantha,

@@ -3,16 +3,18 @@
 The classical 8-decimal perimeter values for n = 3 .. 96 are frozen below;
 enclosures must contain each within one unit in the 8th decimal place (the
 printing rule of the source table is not specified, so +-1 ulp is the honest
-comparison).  Algebraic identities such as cos(15)^2 = (2 + sqrt(3))/4 give
-exact, oracle-free brackets for the recurrence outputs.
+comparison).  Algebraic identities such as cos(15)^2 = (2 + sqrt(3))/4, taken
+on cos = c_n / C_n, and exact squarings such as C_6^2 = 12 give oracle-free
+brackets for the recurrence outputs.
 
-The sine recurrence that the perimeter kernel replaced is kept below as a
-differential reference.
+The sine recurrence and the cosine kernel that Archimedes' step replaced are
+kept below as differential references.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,6 +30,7 @@ from pibounds.exactnum import (
     Rational,
     UsageError,
     ceil_div,
+    decimal_str,
     interval_add,
     interval_div,
     interval_mul,
@@ -47,7 +50,6 @@ from pibounds.polygon import (
     ladder,
     nested_radical_form,
     parse_radical_expr,
-    perimeters,
     seed_state,
 )
 
@@ -98,25 +100,42 @@ def encloses_within(iv, decimal: str, tol_digits: int = 8) -> bool:
     return iv.lo_rational - tol <= v <= iv.hi_rational + tol
 
 
-def sine_enclosure(state):
+def cosine(b):
+    """cos(180/n) = c_n / C_n, by the generic interval division."""
+    return interval_div(b.lower, b.upper)
+
+
+def sine_enclosure(b):
     """sin(180/n) = c_n / n, rounded outward."""
-    c = state.c_enc
-    return Interval(c.lo // state.n, ceil_div(c.hi, state.n), state.precision)
+    c = b.lower
+    return Interval(c.lo // b.n, ceil_div(c.hi, b.n), c.precision)
 
 
-def sine_from_cosine(cos_enc: Interval) -> Interval:
+def sine_from_cosine(cos: Interval) -> Interval:
     """sin = sqrt(1 - cos^2): the direct identity, as a cross-check.
 
     Not used by the ladder, because of cancellation widening as cos -> 1.
     """
-    one = make_interval(1, cos_enc.precision)
-    return interval_sqrt(interval_sub(one, interval_mul(cos_enc, cos_enc)))
+    one = make_interval(1, cos.precision)
+    return interval_sqrt(interval_sub(one, interval_mul(cos, cos)))
 
 
-def pythagorean_sum(state):
-    sin = sine_enclosure(state)
-    return interval_add(interval_mul(state.cos_enc, state.cos_enc),
-                        interval_mul(sin, sin))
+def pythagorean_sum(b):
+    cos, sin = cosine(b), sine_enclosure(b)
+    return interval_add(interval_mul(cos, cos), interval_mul(sin, sin))
+
+
+def brackets(iv: Interval, square: int) -> bool:
+    """iv.lo**2 <= square <= iv.hi**2, in integers at iv's scale."""
+    s = 10**iv.precision
+    return iv.lo**2 <= square * s * s <= iv.hi**2
+
+
+def doubled(p: int, k: int):
+    b = seed_state(p)
+    for _ in range(k):
+        b = halve_angle(b)
+    return b
 
 
 # ---------------------------------------------------------------------------
@@ -125,17 +144,23 @@ def pythagorean_sum(state):
 
 class TestSeedState:
     def test_cosine_is_exact_half(self):
-        s = seed_state(8)
-        assert s.k == 0 and s.n == 3
-        assert s.cos_enc.decimal_bounds() == ("0.50000000", "0.50000000")
+        """cos(60) = 1/2: c_3 / C_3 contains 1/2, and C_3**2 brackets 27."""
+        b = seed_state(8)
+        assert b.n == 3
+        cos = cosine(b)
+        assert cos.contains(Fraction(1, 2))
+        assert cos.hi - cos.lo <= 3
+        assert decimal_str(cos.midpoint(), 7) == "0.5000000"
+        assert brackets(b.upper, 27)
+        assert b.upper.hi - b.upper.lo == 1
 
     def test_perimeter_matches_3sqrt3_over_2(self):
         s = seed_state(12)
-        assert s.c_enc.contains(Fraction(2598076211353, 10**12))
+        assert s.lower.contains(Fraction(2598076211353, 10**12))
         # exact bracket: c_3^2 = 27/4, to one unit of the last place
-        assert s.c_enc.lo_rational ** 2 <= Fraction(27, 4)
-        assert s.c_enc.hi_rational ** 2 >= Fraction(27, 4)
-        assert s.c_enc.hi - s.c_enc.lo <= 1
+        assert s.lower.lo_rational ** 2 <= Fraction(27, 4)
+        assert s.lower.hi_rational ** 2 >= Fraction(27, 4)
+        assert s.lower.hi - s.lower.lo <= 1
 
     @pytest.mark.parametrize("p", [1, 2, 8, 20])
     def test_pythagorean_identity(self, p):
@@ -144,93 +169,103 @@ class TestSeedState:
 
 class TestHalveAngle:
     def test_first_doubling_reaches_hexagon(self):
-        s = halve_angle(seed_state(15))
-        assert s.n == 6
+        b = halve_angle(seed_state(15))
+        assert b.n == 6
         # cos(30)^2 = 3/4 exactly
-        assert s.cos_enc.lo_rational ** 2 <= Fraction(3, 4) <= s.cos_enc.hi_rational ** 2
-        assert s.c_enc.contains(3)
+        cos = cosine(b)
+        assert cos.lo_rational ** 2 <= Fraction(3, 4) <= cos.hi_rational ** 2
+        assert b.lower.contains(3)
+        # C_6 = 2 sqrt(3)
+        assert brackets(b.upper, 12)
 
     def test_second_doubling_reaches_dodecagon(self):
-        s = halve_angle(halve_angle(seed_state(15)))
-        assert s.n == 12
+        b = doubled(15, 2)
+        assert b.n == 12
         # cos(15)^2 = (2+sqrt(3))/4, i.e. (4cos^2 - 2)^2 brackets 3
+        cos = cosine(b)
         g = lambda c: (4 * c * c - 2) ** 2
-        assert g(s.cos_enc.lo_rational) <= 3 <= g(s.cos_enc.hi_rational)
+        assert g(cos.lo_rational) <= 3 <= g(cos.hi_rational)
         # c_12 = 12 sin(15) and sin(15)^2 = (2-sqrt(3))/4, so (2 - c^2/36)^2
         # brackets 3 (decreasing in c)
         h = lambda c: (2 - c * c / 36) ** 2
-        assert h(s.c_enc.hi_rational) <= 3 <= h(s.c_enc.lo_rational)
+        assert h(b.lower.hi_rational) <= 3 <= h(b.lower.lo_rational)
+        # C_12 = 12 tan(15) = 12 (2 - sqrt(3)), so (2 - C/12)^2 brackets 3
+        t = lambda C: (2 - C / 12) ** 2
+        assert t(b.upper.hi_rational) <= 3 <= t(b.upper.lo_rational)
         # the decimals the enclosures certify
-        from pibounds.exactnum import decimal_str
-        assert decimal_str(s.cos_enc.midpoint(), 8) == "0.96592583"
-        assert decimal_str(s.c_enc.midpoint(), 8) == "3.10582854"
+        assert decimal_str(cos.midpoint(), 8) == "0.96592583"
+        assert decimal_str(b.lower.midpoint(), 8) == "3.10582854"
 
     def test_doubling_count(self):
-        s = seed_state(25)
-        for _ in range(7):
-            s = halve_angle(s)
-        assert s.k == 7 and s.n == 3 * 2**7
+        b = doubled(25, 7)
+        assert b.n == 3 * 2**7
+        assert b.lower.precision == b.upper.precision == 25
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_pythagorean_drift(self, k):
-        s = seed_state(30)
-        for _ in range(k):
-            s = halve_angle(s)
-        assert pythagorean_sum(s).contains(1)
+        assert pythagorean_sum(doubled(30, k)).contains(1)
 
     def test_state_stays_in_open_unit_range(self):
-        s = seed_state(30)
+        b = seed_state(30)
         for _ in range(10):
-            s = halve_angle(s)
-            assert 0 < s.cos_enc.lo
-            assert s.cos_enc.hi < 10**s.precision  # cos < 1 for k >= 1
+            b = halve_angle(b)
+            cos = cosine(b)
+            assert 0 < cos.lo
+            assert cos.hi < 10**cos.precision  # cos < 1 for k >= 1
             # 0 < c_n < pi < 22/7
-            assert 0 < s.c_enc.lo and 7 * s.c_enc.hi < 22 * 10**s.precision
+            assert 0 < b.lower.lo and 7 * b.lower.hi < 22 * 10**b.lower.precision
 
     def test_eq4_cross_check_small_depth(self):
         """sqrt(1 - cos^2) must agree with the propagated c_n / n for k <= 4."""
-        s = seed_state(25)
+        b = seed_state(25)
         for _ in range(4):
-            s = halve_angle(s)
-            assert sine_from_cosine(s.cos_enc).overlaps(sine_enclosure(s))
+            b = halve_angle(b)
+            assert sine_from_cosine(cosine(b)).overlaps(sine_enclosure(b))
 
     def test_tiny_scale_widens_instead_of_degenerating(self):
-        """At one working digit the enclosures only widen: c_n / cos' stays
-        positive, so no rung degenerates and each still contains pi's bounds."""
-        s = seed_state(1)
+        """At one working digit the enclosures only widen: the means never
+        fall below their smaller argument, so no lower end shrinks below the
+        seed's, no rung degenerates and each still contains pi's bounds."""
+        b = seed_state(1)
+        floor = min(b.lower.lo, b.upper.lo)
         for _ in range(8):
-            s = halve_angle(s)
-            b = perimeters(s)
+            b = halve_angle(b)
+            assert min(b.lower.lo, b.upper.lo) >= floor > 0
             assert b.lower.lo_rational <= PI_REFERENCE <= b.upper.hi_rational
 
-    def test_degenerate_cosine_raises(self):
-        """A cosine enclosure reaching -1 leaves no positive half-angle cosine."""
-        p = 8
-        s = seed_state(p)
-        bad = polygon_module.AngleState(
-            k=s.k, n=s.n, cos_enc=Interval(-10**p, s.cos_enc.hi, p),
-            c_enc=s.c_enc, precision=p)
-        with pytest.raises(PrecisionExhausted):
-            halve_angle(bad)
-        with pytest.raises(PrecisionExhausted):
-            perimeters(bad)
+    def test_nonpositive_lower_end_raises(self):
+        """A perimeter enclosure reaching 0 leaves no valid rounding direction."""
+        b = seed_state(8)
+        for end in ("lower", "upper"):
+            iv = getattr(b, end)
+            for lo in (0, -1, -10**8):
+                bad = replace(b, **{end: Interval(lo, iv.hi, iv.precision)})
+                with pytest.raises(PrecisionExhausted, match="not positive at n=3$"):
+                    halve_angle(bad)
+
+    def test_mismatched_precisions_raise(self):
+        """Mantissas at two scales would make an enclosure that looks
+        certified but is not."""
+        mixed = PolygonBounds(3, seed_state(8).lower, seed_state(9).upper)
+        with pytest.raises(UsageError, match="perimeter precisions differ: 8 and 9") as info:
+            halve_angle(mixed)
+        assert type(info.value) is UsageError
+        mixed = PolygonBounds(3, seed_state(9).lower, seed_state(8).upper)
+        with pytest.raises(UsageError, match="perimeter precisions differ: 9 and 8"):
+            halve_angle(mixed)
 
 
 class TestPerimeters:
     @pytest.mark.parametrize("k,n", [(0, 3), (1, 6), (5, 96)])
     def test_known_values(self, k, n):
-        s = seed_state(25)
-        for _ in range(k):
-            s = halve_angle(s)
-        b = perimeters(s)
+        b = doubled(25, k)
         assert b.n == n
         c_dec, t_dec = KNOWN_PERIMETERS[n]
         assert encloses_within(b.lower, c_dec)
         assert encloses_within(b.upper, t_dec)
 
     def test_hexagon_lower_is_exactly_three(self):
-        s = halve_angle(seed_state(25))
-        assert perimeters(s).lower.contains(3)
+        assert halve_angle(seed_state(25)).lower.contains(3)
 
 
 class TestBoundsAt:
@@ -358,12 +393,12 @@ class TestLadder:
     @pytest.mark.parametrize("digits", [1, 2, 3, 8, 30])
     def test_rung_widths_within_documented_bound(self, digits):
         """The bound in ladder's docstring, in units of the working precision:
-        c_n under 13(k + 1) wide and C_n under 15(k + 1).  It is what makes
+        c_n under 4.1(k + 1) wide and C_n under 4.6(k + 1).  It is what makes
         the per-rung width check unreachable."""
         for max_k in (*range(61), 99, 100, 999, 1000, 3000):
             for k, b in enumerate(ladder(max_k, digits)):
-                assert b.lower.hi - b.lower.lo < 13 * (k + 1), (max_k, k)
-                assert b.upper.hi - b.upper.lo < 15 * (k + 1), (max_k, k)
+                assert 10 * (b.lower.hi - b.lower.lo) < 41 * (k + 1), (max_k, k)
+                assert 10 * (b.upper.hi - b.upper.lo) < 46 * (k + 1), (max_k, k)
 
     FAILING_REQUESTS = [
         "bounds --doublings 4 --digits 8",
@@ -382,15 +417,15 @@ class TestLadder:
     def test_too_wide_rung_raises_before_it_is_yielded(self, monkeypatch, capsys):
         """A rung as wide as 10**-digits ends the pass: no rung wider than the
         limit is ever yielded or printed, and nothing reruns the pass."""
-        def widened(state):
-            b = perimeters(state)
-            if state.k != 2:
+        def widened(bounds):
+            b = halve_angle(bounds)
+            if b.n != 12:
                 return b
-            p = state.precision
+            p = b.lower.precision
             wide = Interval(b.lower.lo, b.lower.lo + 10 ** (p - 8), p)
             return PolygonBounds(b.n, wide, b.upper)
 
-        monkeypatch.setattr(polygon_module, "perimeters", widened)
+        monkeypatch.setattr(polygon_module, "halve_angle", widened)
         rungs = ladder(4, 8)
         assert [next(rungs).n, next(rungs).n] == [3, 6]
         with pytest.raises(PrecisionExhausted):
@@ -400,10 +435,10 @@ class TestLadder:
         self.assert_nothing_printed(capsys)
 
     def test_degenerate_enclosure_ends_the_pass(self, monkeypatch, capsys):
-        def halve(state):
-            if state.k == 1:
+        def halve(bounds):
+            if bounds.n == 6:
                 raise PrecisionExhausted("forced")
-            return halve_angle(state)
+            return halve_angle(bounds)
 
         monkeypatch.setattr(polygon_module, "halve_angle", halve)
         with pytest.raises(PrecisionExhausted):
@@ -421,16 +456,12 @@ class TestLadder:
 # differential checks of the fused monotone kernel
 # ---------------------------------------------------------------------------
 
-def generic_halve(state):
-    """The half-angle step composed from generic interval operations."""
-    p = state.precision
-    one, two = make_interval(1, p), make_interval(2, p)
-    cos_half = interval_sqrt(interval_div(interval_add(one, state.cos_enc), two))
-    return cos_half, interval_div(state.c_enc, cos_half)
-
-
-def generic_perimeters(state):
-    return state.c_enc, interval_div(state.c_enc, state.cos_enc)
+def generic_halve(b):
+    """The doubling step composed from generic interval operations."""
+    c, t = b.lower, b.upper
+    two = make_interval(2, c.precision)
+    t2 = interval_div(interval_mul(two, interval_mul(c, t)), interval_add(c, t))
+    return interval_sqrt(interval_mul(c, t2)), t2
 
 
 def inside(inner: Interval, outer: Interval) -> bool:
@@ -443,43 +474,33 @@ DIFF_PRECISIONS = [25, 50, 100, 200]
 
 @pytest.mark.parametrize("p", DIFF_PRECISIONS)
 def test_fused_kernel_inside_generic_composition(p):
-    state = seed_state(p)
-    for _ in range(61):
-        lower, upper = generic_perimeters(state)
-        fused = perimeters(state)
-        assert inside(fused.lower, lower) and inside(fused.upper, upper), state.k
-        if state.k == 60:
-            break
-        cos_half, c_half = generic_halve(state)
-        state = halve_angle(state)
-        assert inside(state.cos_enc, cos_half), state.k
-        assert inside(state.c_enc, c_half), state.k
+    b = seed_state(p)
+    for k in range(1, 61):
+        c_half, t_half = generic_halve(b)
+        b = halve_angle(b)
+        assert inside(b.lower, c_half) and inside(b.upper, t_half), k
 
 
 @pytest.mark.parametrize("p", DIFF_PRECISIONS)
 def test_fused_kernel_bounds_exact_image_of_input_box(p):
-    """Each endpoint bounds the exact image of the whole input box, checked
-    in integers: cos' = sqrt((1 + cos)/2), c' = c / cos', C = c / cos.
-    Being no wider than the generic path does not show this: a bound that is
-    too tight by less than one ulp passes both other checks."""
+    """Each endpoint is the tight floor or ceiling of the exact image of its
+    own corner of the input box, checked in integers: C' = 2 c C / (c + C),
+    c' = sqrt(c C').  Being no wider than the generic path does not show
+    this: a bound that is too tight by less than one ulp passes both other
+    checks."""
     s = 10**p
-    state = seed_state(p)
-    assert state.c_enc.lo**2 * 4 <= 27 * s * s <= state.c_enc.hi**2 * 4
-    for _ in range(61):
-        cos, c = state.cos_enc, state.c_enc
-        b = perimeters(state)
-        assert b.lower == c
-        assert b.upper.lo * cos.hi <= c.lo * s, state.k
-        assert b.upper.hi * cos.lo >= c.hi * s, state.k
-        if state.k == 60:
-            break
-        state = halve_angle(state)
-        cos2, c2 = state.cos_enc, state.c_enc
-        assert 2 * cos2.lo**2 <= (s + cos.lo) * s, state.k
-        assert 2 * cos2.hi**2 >= (s + cos.hi) * s, state.k
-        # c2.lo <= c.lo / sqrt((1 + cos.hi)/2), and c2.hi the mirror image
-        assert c2.lo**2 * (s + cos.hi) <= 2 * c.lo**2 * s, state.k
-        assert c2.hi**2 * (s + cos.lo) >= 2 * c.hi**2 * s, state.k
+    b = seed_state(p)
+    c, t = b.lower, b.upper
+    assert 4 * c.lo**2 <= 27 * s * s <= 4 * c.hi**2
+    assert t.lo**2 <= 27 * s * s <= t.hi**2
+    for k in range(1, 61):
+        b = halve_angle(b)
+        c2, t2 = b.lower, b.upper
+        assert t2.lo * (c.lo + t.lo) <= 2 * c.lo * t.lo < (t2.lo + 1) * (c.lo + t.lo), k
+        assert (t2.hi - 1) * (c.hi + t.hi) < 2 * c.hi * t.hi <= t2.hi * (c.hi + t.hi), k
+        assert c2.lo**2 <= c.lo * t2.lo < (c2.lo + 1) ** 2, k
+        assert (c2.hi - 1) ** 2 < c.hi * t2.hi <= c2.hi**2, k
+        c, t = c2, t2
 
 
 @pytest.mark.parametrize("p", DIFF_PRECISIONS)
@@ -492,67 +513,127 @@ def test_fused_kernel_contains_mpmath_values(p):
         slack = mpmath.mpf(10) ** (-p // 2)
         return iv.lo - slack <= scaled <= iv.hi + slack
 
-    state = seed_state(p)
+    b = seed_state(p)
     with mpmath.workdps(2 * p):
         for k in range(61):
-            angle = mpmath.pi / state.n
+            angle = mpmath.pi / b.n
             cos, sin = mpmath.cos(angle), mpmath.sin(angle)
-            b = perimeters(state)
-            assert contains(state.cos_enc, cos), k
-            assert contains(state.c_enc, state.n * sin), k
-            assert contains(b.lower, state.n * sin), k
-            assert contains(b.upper, state.n * sin / cos), k
+            assert contains(cosine(b), cos), k
+            assert contains(b.lower, b.n * sin), k
+            assert contains(b.upper, b.n * sin / cos), k
             if k < 60:
-                state = halve_angle(state)
+                b = halve_angle(b)
 
 
+@pytest.mark.parametrize("max_k", [1000, 3000])
+@pytest.mark.parametrize("digits", [8, 50])
+def test_deep_rungs_contain_mpmath_values(max_k, digits):
+    """Every rung of a deep pass contains n sin(pi/n) and n tan(pi/n), taken
+    in mpmath at 2p + 10 digits for working precision p."""
+    mpmath = pytest.importorskip("mpmath")
+    rungs = list(ladder(max_k, digits))
+    p = rungs[0].lower.precision
+    s = 10**p
+    with mpmath.workdps(2 * p + 10):
+        for k, b in enumerate(rungs):
+            angle = mpmath.pi / b.n
+            assert b.lower.lo <= b.n * mpmath.sin(angle) * s <= b.lower.hi, k
+            assert b.upper.lo <= b.n * mpmath.tan(angle) * s <= b.upper.hi, k
+
+
+def half_angle_cosine(cos: Interval) -> Interval:
+    """cos(x/2) = sqrt((1 + cos x)/2), each end rounded in its own direction."""
+    s = 10**cos.precision
+    half = s // 2
+    return Interval(math.isqrt((s + cos.lo) * half),
+                    isqrt_ceil((s + cos.hi) * half), cos.precision)
+
+
+def over_cosine(c: Interval, cos: Interval) -> Interval:
+    """c / cos for positive c and cos, each end rounded in its own direction."""
+    s = 10**c.precision
+    return Interval(c.lo * s // cos.hi, ceil_div(c.hi * s, cos.lo), c.precision)
+
+
+# Two earlier kernels, kept as differential references for Archimedes' step.
 # The sine recurrence, sin(x/2) = sin(x) / (2 cos(x/2)) with c_n = n sin,
-# whose error n multiplies: the differential reference for the perimeter
-# kernel.  A state is the tuple (n, cos, sin, precision).
+# whose error n multiplies; its state is (n, cos, sin).  The cosine kernel,
+# c_2n = c_n / cos(x/2) and C_n = c_n / cos(x), which carried a cosine no
+# output needs and divided a third time per endpoint; its state is (n, cos, c).
 
 def sine_seed(p):
     return (3, make_interval(Rational(1, 2), p),
-            interval_sqrt(make_interval(Rational(3, 4), p)), p)
+            interval_sqrt(make_interval(Rational(3, 4), p)))
 
 
 def sine_halve(state):
-    n, cos, sin, p = state
-    s = 10**p
-    half = s // 2
-    cos_lo = math.isqrt((s + cos.lo) * half)
-    cos_hi = isqrt_ceil((s + cos.hi) * half)
-    return (2 * n, Interval(cos_lo, cos_hi, p),
-            Interval(sin.lo * s // (2 * cos_hi),
-                     ceil_div(sin.hi * s, 2 * cos_lo), p), p)
+    n, cos, sin = state
+    s = 10**sin.precision
+    cos_half = half_angle_cosine(cos)
+    return (2 * n, cos_half,
+            Interval(sin.lo * s // (2 * cos_half.hi),
+                     ceil_div(sin.hi * s, 2 * cos_half.lo), sin.precision))
 
 
 def sine_perimeters(state):
-    n, cos, sin, p = state
-    s = 10**p
-    c_lo, c_hi = n * sin.lo, n * sin.hi
-    return (Interval(c_lo, c_hi, p),
-            Interval(c_lo * s // cos.hi, ceil_div(c_hi * s, cos.lo), p))
+    n, cos, sin = state
+    c = Interval(n * sin.lo, n * sin.hi, sin.precision)
+    return c, over_cosine(c, cos)
 
 
-@pytest.mark.parametrize("p", DIFF_PRECISIONS)
-def test_perimeter_kernel_against_sine_reference(p):
-    """At every rung k <= 60 the cosine is the reference's, and c_n and C_n
-    overlap the reference's enclosures and print no wider at any digits."""
+def cosine_seed(p):
+    return (3, make_interval(Rational(1, 2), p),
+            interval_sqrt(make_interval(Rational(27, 4), p)))
+
+
+def cosine_halve(state):
+    n, cos, c = state
+    cos_half = half_angle_cosine(cos)
+    return (2 * n, cos_half, over_cosine(c, cos_half))
+
+
+def cosine_perimeters(state):
+    n, cos, c = state
+    return c, over_cosine(c, cos)
+
+
+def assert_no_wider(b, reference, k):
+    """c_n and C_n overlap the reference's enclosures and are no wider, in
+    units of the working precision and printed at any digits."""
     def printed_width(iv, digits):
         scaled = iv.with_precision(digits)
         return scaled.hi - scaled.lo
 
-    state, ref = seed_state(p), sine_seed(p)
+    for new, old in zip((b.lower, b.upper), reference):
+        assert new.overlaps(old), k
+        assert new.hi - new.lo <= old.hi - old.lo, k
+        for d in range(1, new.precision + 1):
+            assert printed_width(new, d) <= printed_width(old, d), (k, d)
+
+
+@pytest.mark.parametrize("p", DIFF_PRECISIONS)
+def test_perimeter_kernel_against_sine_reference(p):
+    """At every rung k <= 60, c_n / C_n overlaps the reference's cosine, and
+    c_n and C_n overlap the reference's enclosures and print no wider."""
+    b, ref = seed_state(p), sine_seed(p)
     for k in range(61):
-        assert state.cos_enc == ref[1], k
-        b = perimeters(state)
-        for new, old in zip((b.lower, b.upper), sine_perimeters(ref)):
-            assert new.overlaps(old), k
-            assert new.hi - new.lo <= old.hi - old.lo, k
-            for d in range(1, p + 1):
-                assert printed_width(new, d) <= printed_width(old, d), (k, d)
+        assert ref[0] == b.n and cosine(b).overlaps(ref[1]), k
+        assert_no_wider(b, sine_perimeters(ref), k)
         if k < 60:
-            state, ref = halve_angle(state), sine_halve(ref)
+            b, ref = halve_angle(b), sine_halve(ref)
+
+
+@pytest.mark.parametrize("p", DIFF_PRECISIONS)
+def test_perimeter_kernel_against_cosine_reference(p):
+    """At every rung k <= 60, c_n and C_n overlap the cosine kernel's and
+    are no wider, in ulps and printed at every d in 1..p."""
+    b, ref = seed_state(p), cosine_seed(p)
+    assert b.lower == ref[2]
+    for k in range(61):
+        assert ref[0] == b.n, k
+        assert_no_wider(b, cosine_perimeters(ref), k)
+        if k < 60:
+            b, ref = halve_angle(b), cosine_halve(ref)
 
 
 # ---------------------------------------------------------------------------
