@@ -9,10 +9,12 @@ Five truncation families, each converted to a pi estimate:
   viete        2/pi = (sqrt(2)/2) * (sqrt(2+sqrt(2))/2) * ...  (N factors)
 
 Each formula is one generator of its estimates for N = 0, 1, 2, ...: row N
-extends the running sum, product or (for Brouncker) forward convergent of
-row N - 1 by one term, so `convergence_report` costs O(N) terms, not O(N^2),
-and `iter_report` hands the rows out one at a time as the pass makes them.
-The first four truncations are rational and exact.  Viete's row N,
+extends the running sum or product of row N - 1 by one term, so
+`convergence_report` costs O(N) terms, not O(N^2), and `iter_report` hands
+the rows out one at a time as the pass makes them.  Brouncker's N-level
+truncation is 4 times the (N + 1)-term Leibniz sum (Euler's identity, proved
+in `_brouncker`), so its pass is Leibniz's read from row 1.  The first four
+truncations are rational and exact.  Viete's row N,
 2 / prod_{j=1..N} cos(90/2**j) = 2**(N+1) sin(90/2**N), is the inscribed
 perimeter c_n of the n-gon, n = 2**(N+1): its pass is the literal 2 for
 N = 0, then `polygon.doublings` seeded at the 4-gon (c_4 = sqrt(8), C_4 = 4),
@@ -55,13 +57,25 @@ def _nilakantha(precision: int) -> Iterator[Rational]:
 
 
 def _brouncker(precision: int) -> Iterator[Rational]:
-    # convergents h_i / k_i of 1 + 1^2/(2 + 3^2/(2 + ...)); estimate 4 k / h
-    h_prev, h, k_prev, k = 1, 1, 0, 1
-    for i in count(1):
-        yield Rational(4 * k, h)
-        a = (2 * i - 1) ** 2
-        h_prev, h = h, 2 * h + a * h_prev
-        k_prev, k = k, 2 * k + a * k_prev
+    """Leibniz's pass read from row 1: Brouncker's row N is Leibniz's row N + 1.
+
+    This is Euler's identity (Introductio in analysin infinitorum, 1748,
+    ch. 18).  Row N is 4 k_N / h_N, where h_N / k_N is the N-level
+    convergent of 1 + 1^2/(2 + 3^2/(2 + ...)), from the forward recurrence
+    x_N = 2 x_{N-1} + (2N-1)^2 x_{N-2} with h_{-1} = h_0 = 1, k_{-1} = 0 and
+    k_0 = 1.  Let S_m be the m-term Leibniz sum.  Then h_N = (2N+1)!! and
+    k_N = h_N S_{N+1}, since both satisfy that recurrence from those values:
+    - h: (2N-1)!! (2 + 2N - 1) = (2N+1)!!;
+    - k: dividing by (2N-1)!! leaves 2 S_N + (2N-1) S_{N-1} = (2N+1) S_{N+1},
+      which holds by S_N = S_{N-1} + e/(2N-1) and S_{N+1} = S_N - e/(2N+1),
+      with e = (-1)**(N-1): both sides are (2N+1) S_N - e.
+    (They agree at N = -1 and 0 as S_0 = 0 and S_1 = 1.)  So row N,
+    4 k_N / h_N = 4 S_{N+1}, is Leibniz's row N + 1.  Brouncker's rows
+    therefore alternate around pi as Leibniz's partial sums of an
+    alternating series with decreasing terms do: above it for even N, below
+    it for odd N.
+    """
+    return islice(_leibniz(precision), 1, None)
 
 
 def _wallis(precision: int) -> Iterator[Rational]:

@@ -313,6 +313,67 @@ class TestBoundExpansion:
                    for c in exp.candidates)
 
 
+def tower_below(radicals: int, r: Fraction) -> bool:
+    """T < r exactly, for the tower T = sqrt(2 + sqrt(2 + ... sqrt(3))) of
+    ``radicals`` >= 1 square roots: T < r iff r > 0 and the next tower down
+    is < r**2 - 2, ending at sqrt(3) < r iff r > 0 and 3 < r**2."""
+    for _ in range(radicals - 1):
+        if r <= 0:
+            return False
+        r = r * r - 2
+    return r > 0 and 3 < r * r
+
+
+def exact_side(q: Fraction, k: int, which: str) -> Side:
+    """Where q > 0 lies against c_n = n sin(pi/n) ("lower") or
+    C_n = n tan(pi/n) ("upper"), n = 3 * 2**k, decided in exact rationals.
+
+    For k >= 2, with T = 2 cos(2 pi/n), the tower of k - 1 radicals (so
+    irrational, and no rational equals c_n or C_n):
+    q < c_n iff (q/n)**2 < sin**2 = (2 - T)/4 iff T < 2 - (2q/n)**2, and
+    q > C_n iff u = (q/n)**2 > tan**2 = (2 - T)/(2 + T) iff
+    T > 2(1 - u)/(1 + u).  For k = 0 and 1 the closed forms are squared:
+    c_3 = 3 sqrt(3)/2, C_3 = 3 sqrt(3), c_6 = 3 and C_6 = 2 sqrt(3).
+    WITHIN is returned only for q = c_6 = 3.
+    """
+    if k <= 1:
+        square = {(0, "lower"): Fraction(27, 4), (0, "upper"): 27,
+                  (1, "lower"): 9, (1, "upper"): 12}[k, which]
+        if q * q == square:
+            return Side.WITHIN
+        return Side.BELOW if q * q < square else Side.ABOVE
+    n = 3 * 2**k
+    if which == "lower":
+        below = tower_below(k - 1, 2 - (2 * q / n) ** 2)
+        return Side.BELOW if below else Side.ABOVE
+    u = (q / n) ** 2
+    above = not tower_below(k - 1, 2 * (1 - u) / (1 + u))
+    return Side.ABOVE if above else Side.BELOW
+
+
+class TestExactVerdicts:
+    def test_tower_below(self):
+        # sqrt(3) = 1.732..., sqrt(2 + sqrt(3)) = 1.9318...
+        assert tower_below(1, Fraction(1733, 1000))
+        assert not tower_below(1, Fraction(1732, 1000))
+        assert not tower_below(1, Fraction(-2))
+        assert tower_below(2, Fraction(19319, 10000))
+        assert not tower_below(2, Fraction(19318, 10000))
+        assert not tower_below(2, Fraction(-19319, 10000))
+
+    @pytest.mark.parametrize("k", range(12))
+    @pytest.mark.parametrize("which", ["lower", "upper"])
+    def test_every_certified_verdict_is_exact(self, k, which):
+        """Every BELOW/ABOVE verdict of a 12-digit expansion agrees with the
+        exact comparison against the true perimeter, decided with no
+        precision at all."""
+        exp = bound_expansion(k, 12, which)
+        decided = [c for c in exp.candidates if c.verdict is not Side.WITHIN]
+        assert decided
+        for c in decided:
+            assert exact_side(c.convergent.value, k, which) is c.verdict, (k, c)
+
+
 class TestClassicChain:
     def test_223_71_and_22_7(self):
         """223/71 < 245/78 < c_96 < C_96 < 22/7, every step certified."""

@@ -33,7 +33,8 @@ def est(series: str, terms: int, precision: int = 8):
 
 
 # From-scratch reference evaluators: each call restarts its sum, product or
-# radical tower from the first term, and Brouncker folds bottom-up.
+# radical tower from the first term; Brouncker folds bottom-up in
+# `ref_brouncker` and runs its forward recurrence in `ref_brouncker_forward`.
 
 
 def ref_leibniz(n: int) -> Fraction:
@@ -59,6 +60,18 @@ def ref_brouncker(n: int) -> Fraction:
     for i in range(n, 0, -1):
         tail = Fraction((2 * i - 1) ** 2) / (2 + tail)
     return 4 / (1 + tail)
+
+
+def ref_brouncker_forward(n: int) -> Fraction:
+    """4 k_n / h_n from the convergent recurrence of 1 + 1^2/(2 + 3^2/(2 + ...)),
+    x_i = 2 x_{i-1} + (2i-1)^2 x_{i-2}, on unreduced ints; one Fraction, at
+    the end.  It does not rely on Euler's identity, as the series does."""
+    h_prev, h, k_prev, k = 1, 1, 0, 1
+    for i in range(1, n + 1):
+        a = (2 * i - 1) ** 2
+        h_prev, h = h, 2 * h + a * h_prev
+        k_prev, k = k, 2 * k + a * k_prev
+    return Fraction(4 * k, h)
 
 
 def ref_wallis(n: int) -> Fraction:
@@ -179,6 +192,18 @@ class TestRationalSeries:
     def test_estimates_are_exact_rationals(self):
         for name in ("leibniz", "nilakantha", "brouncker", "wallis"):
             assert isinstance(est(name, 3), Fraction)
+
+    @pytest.mark.parametrize("terms", [0, 1, 2, 300, 2000, 5000])
+    def test_brouncker_is_forward_recurrence(self, terms):
+        assert est("brouncker", terms) == ref_brouncker_forward(terms)
+
+    def test_brouncker_report_is_forward_recurrence(self):
+        rows = list(iter_report(["brouncker"], 400, 8))
+        assert [row.terms for row in rows] == list(range(1, 401))
+        for row in rows:
+            value = ref_brouncker_forward(row.terms)
+            assert row == SeriesEstimate("brouncker", row.terms, value,
+                                         error_text(value, 8))
 
     def test_brouncker_equals_leibniz_shifted(self):
         """Depth-d truncation collapses to the (d+1)-term alternating sum."""
