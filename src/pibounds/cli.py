@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Iterator
 
 from . import contfrac, polygon, series
 from .exactnum import (PI_REFERENCE, Interval, PiBoundsError, Rational,
@@ -129,16 +130,18 @@ def cmd_table(args: argparse.Namespace) -> None:
 # cf
 # ---------------------------------------------------------------------------
 
-def _print_convergents(convs: list[contfrac.Convergent],
-                       verdicts: list[str] | None = None) -> None:
+def _print_convergents(texts: Iterator[str], verdicts: Iterator[str] | None = None,
+                       width: int = 0) -> None:
+    """One line per convergent, written as its text is made.  Numerators and
+    denominators never decrease, so the verdict column's ``width`` is the
+    length of the last convergent's text, known before the first line."""
     print("convergents:")
-    texts = [fraction_str(c) for c in convs]
-    width = max(map(len, texts))
-    for i, (conv, text) in enumerate(zip(convs, texts)):
-        line = f"  {conv.index}: {text.ljust(width)}"
-        if verdicts is not None:
-            line += f"  {verdicts[i]}"
-        print(line.rstrip())
+    if verdicts is None:
+        lines = (f"  {i}: {text}\n" for i, text in enumerate(texts))
+    else:
+        lines = (f"  {i}: {text.ljust(width)}  {verdict}\n"
+                 for i, (text, verdict) in enumerate(zip(texts, verdicts)))
+    sys.stdout.writelines(lines)
 
 
 def cmd_cf(args: argparse.Namespace) -> None:
@@ -147,40 +150,42 @@ def cmd_cf(args: argparse.Namespace) -> None:
         cf = contfrac.expand(q)
         print(f"value = {args.value} = {fraction_str(q)}")
         print(f"coefficients = {cf}")
-        _print_convergents(contfrac.convergents(cf))
+        _print_convergents(contfrac.convergent_texts(cf))
         return
     exp = contfrac.bound_expansion(args.doublings, args.digits,
                                    args.from_bound,
                                    max_precision=args.max_precision)
     label = "c_n" if exp.which == "lower" else "C_n"
+    # the decimal is reduced, so it is the last convergent
+    last = fraction_str(exp.decimal)
     print(f"bound = {exp.which} ({label}), n = {int_str(exp.n)}, digits = {exp.digits}")
-    print(f"decimal = {exp.decimal_text} = {fraction_str(exp.decimal)}")
+    print(f"decimal = {exp.decimal_text} = {last}")
     print(f"coefficients = {exp.cf}")
-    _print_convergents([c.convergent for c in exp.candidates],
-                       [c.verdict.value for c in exp.candidates])
+    _print_convergents(contfrac.convergent_texts(exp.cf),
+                       (c.verdict.value for c in exp.candidates), len(last))
 
 
 # ---------------------------------------------------------------------------
 # approx
 # ---------------------------------------------------------------------------
 
-def _candidate_summary(exp: contfrac.BoundExpansion) -> str:
-    parts = []
-    for cand in exp.candidates:
-        note = "" if cand.within_cap else " (over cap)"
-        parts.append(f"{fraction_str(cand.convergent)} "
-                     f"{cand.verdict.value}{note}")
-    return "; ".join(parts)
+def _print_candidates(exp: contfrac.BoundExpansion) -> None:
+    """The ``{which} candidates`` line, written one candidate at a time."""
+    print(f"{exp.which} candidates (from {exp.decimal_text}): ", end="")
+    sys.stdout.writelines(
+        f"{'; ' if i else ''}{text} {cand.verdict.value}"
+        f"{'' if cand.within_cap else ' (over cap)'}"
+        for i, (text, cand) in enumerate(zip(contfrac.convergent_texts(exp.cf),
+                                             exp.candidates)))
+    print()
 
 
 def cmd_approx(args: argparse.Namespace) -> None:
     result = contfrac.certified_rational_bounds(
         args.doublings, args.digits, args.den_cap, args.max_precision)
     print(f"n = {int_str(result.n)}, den_cap = {result.den_cap}")
-    print(f"lower candidates (from {result.lower_expansion.decimal_text}): "
-          f"{_candidate_summary(result.lower_expansion)}")
-    print(f"upper candidates (from {result.upper_expansion.decimal_text}): "
-          f"{_candidate_summary(result.upper_expansion)}")
+    _print_candidates(result.lower_expansion)
+    _print_candidates(result.upper_expansion)
     print(f"lower = {fraction_str(result.lower)} (certified below the c_n enclosure)")
     print(f"upper = {fraction_str(result.upper)} (certified above the C_n enclosure)")
     print(f"{fraction_str(result.lower)} < pi < {fraction_str(result.upper)}")

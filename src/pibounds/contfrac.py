@@ -16,14 +16,20 @@ Few convergents need that comparison.  Those on the far side of the outward
 decimal are certified by their index parity; those on the near side approach
 the decimal monotonically, so their verdicts form three runs whose ends two
 bisections find: O(log n) ``side_of`` calls for n convergents.
+
+Their text is made apart from the ints: `convergent_texts` runs the same
+forward recurrence again, past a few hundred bits on exact ``Decimal``
+integers, whose text is written in linear time, where CPython's ``str(int)``
+is quadratic and would be most of the cost of printing a long list.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
 
 from . import polygon
 from .exactnum import (PiBoundsError, Rational, Side, UsageError, decimal_str,
@@ -110,6 +116,40 @@ def convergents(cf: ContinuedFraction) -> list[Convergent]:
         h_prev2, h_prev = h_prev, h
         k_prev2, k_prev = k_prev, k
     return out
+
+
+# Past this size a convergent's text is cheaper from the Decimal recurrence:
+# on CPython 3.11 a step of ints and str(int) took 0.8 us at 200 digits and
+# 16 us at 1000, and one of Decimal fma and str 0.8 us and 3.5 us.
+_INT_TEXT_BITS = 640
+
+
+def convergent_texts(cf: ContinuedFraction) -> Iterator[str]:
+    """``fraction_str`` of each convergent, in order, in linear time each.
+
+    The forward recurrence of `convergents` runs on ints while they are short
+    (under ``_INT_TEXT_BITS``), then on exact ``Decimal`` integers, whose text
+    is written in linear time where ``str(int)`` is quadratic.  Their context
+    has the largest precision and exponent range and traps Inexact and
+    Rounded, so a rounding would raise instead of printing.
+    """
+    h, h_prev, k, k_prev = 1, 0, 0, 1
+    coeffs = iter(cf.coeffs)
+    for a in coeffs:
+        h, h_prev = a * h + h_prev, h
+        k, k_prev = a * k + k_prev, k
+        if (h | k).bit_length() > _INT_TEXT_BITS:
+            break
+        yield f"{h}/{k}"
+    else:
+        return
+    fma = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded]).fma
+    h, h_prev, k, k_prev = map(Decimal, (h, h_prev, k, k_prev))
+    yield f"{h!s}/{k!s}"
+    for a in map(Decimal, coeffs):
+        h, h_prev = fma(a, h, h_prev), h
+        k, k_prev = fma(a, k, k_prev), k
+        yield f"{h!s}/{k!s}"
 
 
 def reconstruct(cf: ContinuedFraction) -> Rational:

@@ -61,9 +61,12 @@ def ceil_div(a: int, b: int) -> int:
 
 
 def isqrt_ceil(n: int) -> int:
-    """Smallest integer r with r*r >= n, for n >= 0."""
-    r = math.isqrt(n)
-    return r if r * r == n else r + 1
+    """Smallest integer r with r*r >= n, for n >= 0.
+
+    For n >= 1 it is isqrt(n - 1) + 1, as s = isqrt(n - 1) is the largest
+    s with s*s < n; so no full-size square is taken to test for an exact root.
+    """
+    return math.isqrt(n - 1) + 1 if n else 0
 
 
 def int_str(m: int) -> str:

@@ -25,11 +25,12 @@ instead, as c_n = n * sin, would multiply the sine's error by n.)
 
 Both means also increase in each argument.  So `halve_angle` works on the raw
 mantissas and rounds each endpoint once, in its own direction, lower ends from
-lower ends and upper from upper: one long division and one integer square
-root per endpoint, instead of the four corners of generic interval operations
-(Moore, Kearfott & Cloud, *Introduction to Interval Analysis*, 2009).  The
-positivity check that raises `PrecisionExhausted` is what makes these
-directions valid.
+lower ends and upper from upper, instead of taking the four corners of generic
+interval operations (Moore, Kearfott & Cloud, *Introduction to Interval
+Analysis*, 2009).  The positivity check that raises `PrecisionExhausted` is
+what makes these directions valid.  The lower ends take one long division and
+one integer square root per rung; the upper ends, a few units away, follow
+from the lower ends' remainders exactly, in linear time.
 
 `doublings` is the one loop over the step.  `ladder` runs it from the
 triangle, yielding rungs k = 0..K as they are made, and `bounds_at` is its
@@ -120,6 +121,31 @@ def halve_angle(bounds: PolygonBounds) -> PolygonBounds:
     c_2n = sqrt(c C_2n) is [isqrt(c.lo C_2n.lo), isqrt_ceil(c.hi C_2n.hi)].
     Both means are homogeneous of degree 1, so they act on the mantissas at
     any one scale.
+
+    Only the lower ends take a full-size division and square root.  The upper
+    ends are a few units away, so they follow from the lower ends' remainders
+    in linear time.  With dc = c.hi - c.lo and dt = t.hi - t.lo:
+
+    - h, r = divmod(2 c.lo t.lo, c.lo + t.lo) gives C_2n.lo = h.  Expanding
+      c.hi = c.lo + dc and t.hi = t.lo + dt, 2 c.hi t.hi = h (c.hi + t.hi) + R
+      with R = r + 2 (dc t.lo + dt c.lo + dc dt) - h (dc + dt).  R >= 0, as
+      the harmonic mean increases in each argument, so
+      C_2n.hi = h + ceil(R / (c.hi + t.hi)), a division with a small quotient.
+    - g = isqrt(c.lo h) gives c_2n.lo = g, and g >= 1, since c.lo, t.lo >= 1
+      make h >= min(c.lo, t.lo) >= 1.  Then c.hi C_2n.hi = g**2 + over with
+      over = (c.lo h - g**2) + dc h + c.hi (C_2n.hi - h) >= 0, and
+      c_2n.hi = g + e for the least e >= 0 with e (2g + e) >= over.
+    - e0 = ceil(over / 2g) satisfies that, so e <= e0.  If e0**2 < 2g, then
+      e >= e0 - 1: for e0 >= 2, 2g > e0**2 > (e0 - 2)**2 gives
+      over > 2g (e0 - 1) = 2g (e0 - 2) + 2g > (e0 - 2)(2g + e0 - 2).  So one
+      test decides between e0 - 1 and e0 (at e0 = 0, over = 0 and it keeps
+      e0).  Otherwise (a box wide for its scale) c_2n.hi is
+      isqrt_ceil(c.hi C_2n.hi) itself.
+
+    So a rung costs one full-size division, one integer square root and three
+    full-size products (c.lo t.lo, c.lo h, g**2); every other product has a
+    factor of the size of the widths, and every mantissa is the one the
+    formulas above give.
     """
     c, t = bounds.lower, bounds.upper
     if c.precision != t.precision:
@@ -127,13 +153,24 @@ def halve_angle(bounds: PolygonBounds) -> PolygonBounds:
     if c.lo <= 0 or t.lo <= 0:
         raise PrecisionExhausted(
             f"perimeter enclosure not positive at n={int_str(bounds.n)}")
-    t_lo = 2 * c.lo * t.lo // (c.lo + t.lo)
-    t_hi = ceil_div(2 * c.hi * t.hi, c.hi + t.hi)
+    c_lo, c_hi, t_lo, t_hi = c.lo, c.hi, t.lo, t.hi
+    dc, dt = c_hi - c_lo, t_hi - t_lo
+    h, r = divmod(2 * c_lo * t_lo, c_lo + t_lo)
+    h_hi = h + ceil_div(r + 2 * (dc * t_lo + dt * c_lo + dc * dt) - h * (dc + dt),
+                        c_hi + t_hi)
+    radicand = c_lo * h
+    g = math.isqrt(radicand)
+    over = radicand - g * g + dc * h + c_hi * (h_hi - h)
+    e = ceil_div(over, 2 * g)
+    if e * e < 2 * g:
+        if (e - 1) * (2 * g + e - 1) >= over:
+            e -= 1
+        g_hi = g + e
+    else:
+        g_hi = isqrt_ceil(c_hi * h_hi)
     p = c.precision
-    return PolygonBounds(
-        n=2 * bounds.n,
-        lower=Interval(math.isqrt(c.lo * t_lo), isqrt_ceil(c.hi * t_hi), p),
-        upper=Interval(t_lo, t_hi, p))
+    return PolygonBounds(n=2 * bounds.n, lower=Interval(g, g_hi, p),
+                         upper=Interval(h, h_hi, p))
 
 
 def doublings(bounds: PolygonBounds) -> Iterator[PolygonBounds]:

@@ -25,6 +25,7 @@ from pibounds.exactnum import (
     PiBoundsError,
     UsageError,
     decimal_str,
+    fraction_str,
     interval_arith,
     make_interval,
 )
@@ -188,6 +189,95 @@ class TestApprox:
     def test_no_valid_bound_exits_4(self, capsys):
         assert main(["approx", "--doublings", "0", "--digits", "8",
                      "--den-cap", "1"]) == 4
+
+
+def per_line_cf(exp: contfrac.BoundExpansion, texts: list[str]) -> str:
+    """``cf --from-bound`` stdout, given ``fraction_str`` of each convergent."""
+    width = max(map(len, texts))
+    label = "c_n" if exp.which == "lower" else "C_n"
+    lines = [f"bound = {exp.which} ({label}), n = {exp.n}, digits = {exp.digits}",
+             f"decimal = {exp.decimal_text} = {fraction_str(exp.decimal)}",
+             f"coefficients = {exp.cf}",
+             "convergents:"]
+    for cand, text in zip(exp.candidates, texts, strict=True):
+        lines.append(f"  {cand.convergent.index}: {text.ljust(width)}  "
+                     f"{cand.verdict.value}".rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def per_line_approx(result: contfrac.CertifiedBounds,
+                    texts: dict[str, list[str]]) -> str:
+    """``approx`` stdout, given ``fraction_str`` of each convergent."""
+    def summary(exp):
+        return "; ".join(
+            f"{text} {cand.verdict.value}{'' if cand.within_cap else ' (over cap)'}"
+            for cand, text in zip(exp.candidates, texts[exp.which], strict=True))
+
+    lower, upper = fraction_str(result.lower), fraction_str(result.upper)
+    return (f"n = {result.n}, den_cap = {result.den_cap}\n"
+            f"lower candidates (from {result.lower_expansion.decimal_text}): "
+            f"{summary(result.lower_expansion)}\n"
+            f"upper candidates (from {result.upper_expansion.decimal_text}): "
+            f"{summary(result.upper_expansion)}\n"
+            f"lower = {lower} (certified below the c_n enclosure)\n"
+            f"upper = {upper} (certified above the C_n enclosure)\n"
+            f"{lower} < pi < {upper}\n")
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """``got == want``, reporting the first difference in a few dozen
+    characters rather than a diff of megabytes."""
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                  min(len(got), len(want)))
+        around = slice(max(0, at - 40), at + 40)
+        pytest.fail(f"first difference at character {at}: "
+                    f"{got[around]!r} != {want[around]!r}")
+
+
+class TestConvergentText:
+    """The convergents' text, made by `contfrac.convergent_texts` as each line
+    is written, is the text of ``fraction_str`` of each convergent."""
+
+    @pytest.mark.parametrize("k,digits,den_cap", [(119, 998, 10**333), (5, 4400, 100)])
+    def test_same_stdout_as_per_line_fraction_str(self, k, digits, den_cap, capsys):
+        """The stdout of the old renderer, which wrote ``fraction_str`` of
+        each convergent; at 4400 digits every text is past the limit."""
+        texts = {}
+        for which in ("lower", "upper"):
+            exp = contfrac.bound_expansion(k, digits, which)
+            texts[which] = [fraction_str(c.convergent) for c in exp.candidates]
+            code, out = run_cli("cf", "--from-bound", which, "--doublings", str(k),
+                                "--digits", str(digits), capsys=capsys)
+            assert code == 0
+            assert_same_text(out, per_line_cf(exp, texts[which]))
+        code, out = run_cli("approx", "--doublings", str(k), "--digits", str(digits),
+                            "--den-cap", str(den_cap), capsys=capsys)
+        assert code == 0
+        result = contfrac.certified_rational_bounds(k, digits, den_cap)
+        assert_same_text(out, per_line_approx(result, texts))
+
+    @pytest.mark.parametrize("argv", [
+        "cf --from-bound lower --doublings 119 --digits 998",
+        "cf --from-bound upper --doublings 119 --digits 998",
+        "approx --doublings 119 --digits 998 --den-cap 100",
+        "cf --value 3." + str(7**1200)[:998],
+    ])
+    def test_fraction_str_calls_do_not_grow_with_the_list(self, argv, monkeypatch,
+                                                          capsys):
+        """About 1900 convergents per list, and at most 4 ``fraction_str``
+        calls per request: the decimal's and the bracket's."""
+        calls = []
+
+        def counting(q):
+            calls.append(q)
+            return fraction_str(q)
+
+        monkeypatch.setattr(cli, "fraction_str", counting)
+        monkeypatch.setattr(contfrac, "fraction_str", counting)
+        assert main(argv.split()) == 0
+        assert capsys.readouterr().out.count("/") > 1800
+        assert len(calls) <= 4
 
 
 class TestSeriesCmd:

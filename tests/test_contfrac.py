@@ -16,12 +16,14 @@ from pibounds.contfrac import (
     NoValidBound,
     bound_expansion,
     certified_rational_bounds,
+    convergent_texts,
     convergents,
     expand,
     parse_decimal,
     reconstruct,
 )
-from pibounds.exactnum import PI_REFERENCE, Interval, Side, UsageError, side_of
+from pibounds.exactnum import (PI_REFERENCE, Interval, Side, UsageError, fraction_str,
+                               side_of)
 from pibounds.polygon import PolygonBounds, bounds_at
 
 positive_rationals = st.fractions(min_value=Fraction(1, 10**6),
@@ -145,6 +147,43 @@ class TestConvergents:
             assert k >= 1 and math.gcd(h, k) == 1
             assert conv.value == Fraction(h, k)
             assert (conv.value.numerator, conv.value.denominator) == (h, k)
+
+
+def per_convergent_texts(cf):
+    return [fraction_str(c) for c in convergents(cf)]
+
+
+class TestConvergentTexts:
+    def test_157_over_50(self):
+        assert list(convergent_texts(expand(Fraction(157, 50)))) == ["3/1", "22/7", "157/50"]
+
+    @given(q=positive_rationals)
+    def test_equal_to_fraction_str_of_each_convergent(self, q):
+        cf = expand(q)
+        assert list(convergent_texts(cf)) == per_convergent_texts(cf)
+
+    def test_random_rationals(self):
+        """a0 = 0, integers, and numerators and denominators up to 10**60."""
+        rng = random.Random(19)
+        for _ in range(500):
+            q = Fraction(rng.randint(1, 10 ** rng.randint(1, 60)),
+                         rng.randint(1, 10 ** rng.randint(1, 60)))
+            cf = expand(q)
+            assert list(convergent_texts(cf)) == per_convergent_texts(cf), q
+        for q in (Fraction(1, 7), Fraction(2, 3), Fraction(5), Fraction(10**70)):
+            cf = expand(q)
+            assert list(convergent_texts(cf)) == per_convergent_texts(cf), q
+
+    def test_past_the_int_digit_limit(self):
+        """A coefficient of 4401 digits, and a 5000-digit decimal."""
+        big = expand(Fraction(10**4400 + 1, 10**4400 * 7 + 3))
+        assert max(big.coeffs) > 10**4300
+        rng = random.Random(5000)
+        decimal = expand(Fraction(rng.randrange(10**5000, 4 * 10**5000), 10**5000))
+        for cf in (big, decimal):
+            texts = list(convergent_texts(cf))
+            assert texts == per_convergent_texts(cf)
+            assert len(texts[-1]) > 4300
 
 
 class TestReconstruct:

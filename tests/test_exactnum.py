@@ -221,6 +221,21 @@ class TestIntervalSqrt:
         assert isqrt_ceil(16) == 4
         assert isqrt_ceil(17) == 5
 
+    def test_isqrt_ceil_is_the_least_root(self):
+        """r = isqrt_ceil(n) is the least r >= 0 with r*r >= n: for n up to
+        10**4, around the squares of large k, and at 4000 digits."""
+        def least_root(n, r):
+            return r >= 0 and r * r >= n and (r == 0 or (r - 1) ** 2 < n)
+
+        assert all(least_root(n, isqrt_ceil(n)) for n in range(10**4 + 1))
+        rng = random.Random(19)
+        for k in (10**50 + 7, 3**300, rng.getrandbits(6000) | 1):
+            assert isqrt_ceil(k * k) == k
+            assert isqrt_ceil(k * k - 1) == k
+            assert isqrt_ceil(k * k + 1) == k + 1
+        n = rng.randrange(10**3999, 10**4000)
+        assert least_root(n, isqrt_ceil(n))
+
     @given(n=st.integers(min_value=0, max_value=10**24))
     @settings(max_examples=50)
     def test_bisection_oracle_agrees_with_isqrt(self, n):

@@ -8,12 +8,15 @@ on cos = c_n / C_n, and exact squarings such as C_6^2 = 12 give oracle-free
 brackets for the recurrence outputs.
 
 The sine recurrence and the cosine kernel that Archimedes' step replaced are
-kept below as differential references.
+kept below as differential references, and the step with both ends taken in
+full as the oracle of its linear-time upper ends.
 """
 
 from __future__ import annotations
 
 import math
+import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -634,6 +637,91 @@ def test_perimeter_kernel_against_cosine_reference(p):
         assert_no_wider(b, cosine_perimeters(ref), k)
         if k < 60:
             b, ref = halve_angle(b), cosine_halve(ref)
+
+
+# ---------------------------------------------------------------------------
+# the two-full-ends kernel, kept as the oracle of the linear-time upper ends
+# ---------------------------------------------------------------------------
+
+def full_halve(b):
+    """Archimedes' step with each end taken in full: two long divisions and
+    two integer square roots per rung."""
+    c, t = b.lower, b.upper
+    t_lo = 2 * c.lo * t.lo // (c.lo + t.lo)
+    t_hi = ceil_div(2 * c.hi * t.hi, c.hi + t.hi)
+    p = c.precision
+    return PolygonBounds(2 * b.n,
+                         Interval(math.isqrt(c.lo * t_lo), isqrt_ceil(c.hi * t_hi), p),
+                         Interval(t_lo, t_hi, p))
+
+
+def widened(b, w):
+    """``b`` with each end moved w units outward, lower ends kept >= 1."""
+    def widen(iv):
+        return Interval(max(1, iv.lo - w), iv.hi + w, iv.precision)
+    return PolygonBounds(b.n, widen(b.lower), widen(b.upper))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 7, 40, 310, 1007])
+def test_kernel_equals_full_ends_kernel(p):
+    """Every rung k < 150, and the same boxes widened by 3, 50 and 10**(p/2)
+    units, give the mantissas of the two-full-ends kernel."""
+    b = seed_state(p)
+    for k in range(150):
+        for w in (0, 3, 50, 10 ** (p // 2)):
+            box = widened(b, w)
+            assert halve_angle(box) == full_halve(box), (k, w)
+        b = halve_angle(b)
+
+
+def test_kernel_on_tiny_boxes_reaches_every_branch(monkeypatch):
+    """20 000 seeded boxes at precision 1, lower ends 1 to 60 units and up to
+    30 units wide, give the mantissas of the two-full-ends kernel.  The upper
+    end c_2n.hi = g + e (see halve_angle) takes each way: e0 - 1, e0, and
+    the isqrt_ceil fallback when e0**2 >= 2g, which is the only call of
+    isqrt_ceil."""
+    fallbacks = []
+
+    def counting_isqrt_ceil(n):
+        fallbacks.append(n)
+        return isqrt_ceil(n)
+
+    monkeypatch.setattr(polygon_module, "isqrt_ceil", counting_isqrt_ceil)
+    rng = random.Random(19)
+    branches = Counter()
+    for _ in range(20000):
+        c_lo, t_lo = rng.randint(1, 60), rng.randint(1, 60)
+        box = PolygonBounds(3, Interval(c_lo, c_lo + rng.randint(0, 30), 1),
+                            Interval(t_lo, t_lo + rng.randint(0, 30), 1))
+        calls = len(fallbacks)
+        got, want = halve_angle(box), full_halve(box)
+        assert got == want, box
+        g = want.lower.lo
+        e0 = ceil_div(box.lower.hi * want.upper.hi - g * g, 2 * g)
+        if e0 * e0 >= 2 * g:
+            branch = "fallback"
+        else:
+            assert want.lower.hi in (g + e0 - 1, g + e0), box
+            branch = "e0" if want.lower.hi == g + e0 else "e0 - 1"
+        assert (len(fallbacks) > calls) == (branch == "fallback"), box
+        branches[branch] += 1
+    assert set(branches) == {"fallback", "e0", "e0 - 1"}, branches
+
+
+def test_one_integer_square_root_per_rung(monkeypatch):
+    """Consuming ladder(200, 50) takes 200 + 4 integer square roots: one per
+    rung, and two for each of the seed's two perimeters."""
+    calls = []
+    isqrt = math.isqrt
+
+    def counting_isqrt(n):
+        calls.append(n)
+        return isqrt(n)
+
+    monkeypatch.setattr(math, "isqrt", counting_isqrt)
+    rungs = list(ladder(200, 50))
+    assert len(rungs) == 201
+    assert len(calls) == 200 + 4
 
 
 # ---------------------------------------------------------------------------
