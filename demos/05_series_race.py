@@ -1,12 +1,12 @@
 """Five classical formulas for pi, racing the polygon ladder.
 
-The alternating sums and products are evaluated in exact rational arithmetic
-(their truncations are rational numbers, so there is no rounding error at
-all); the nested-radical product needs square roots and returns certified
-intervals instead.  Errors are reported against the 12-digit reference.
+The sums and products are exact rationals, so they carry no rounding error;
+the nested-radical product needs square roots and returns certified intervals
+instead.  Each row writes itself (`SeriesEstimate.cells`), with its error
+against the 12-digit reference.
 """
 
-from pibounds import Interval, bounds_at, convergence_report, decimal_str
+from pibounds import bounds_at, convergence_report
 
 REPORT_DIGITS = 10
 
@@ -16,11 +16,8 @@ rows = convergence_report(
 
 print(f"{'series':<12} {'N':>2}  {'estimate':<28} {'error vs reference':>20}")
 for row in rows:
-    if isinstance(row.estimate, Interval):
-        cell = str(row.estimate.with_precision(REPORT_DIGITS))
-    else:
-        cell = f"{decimal_str(row.estimate, REPORT_DIGITS)} ({row.estimate})"
-    print(f"{row.series:<12} {row.terms:>2}  {cell:<28} {row.error_vs_reference:>20}")
+    cell, error = row.cells(REPORT_DIGITS)
+    print(f"{row.series:<12} {row.terms:>2}  {cell:<28} {error:>20}")
 
 print()
 print("For comparison, five doublings of the polygon ladder:")

@@ -17,8 +17,8 @@ import sys
 from collections.abc import Iterator
 
 from . import contfrac, polygon, series
-from .exactnum import (PI_REFERENCE, Interval, PiBoundsError, Rational,
-                       UsageError, decimal_str, fraction_str, int_str)
+from .exactnum import (PI_REFERENCE, PiBoundsError, Rational, UsageError,
+                       decimal_str, fraction_str, int_str)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -195,20 +195,11 @@ def cmd_approx(args: argparse.Namespace) -> None:
 # series
 # ---------------------------------------------------------------------------
 
-def _estimate_cell(est: Rational | Interval, digits: int) -> str:
-    # a Viete row is already rounded outward to ``digits``
-    if isinstance(est, Interval):
-        return str(est)
-    exact = int_str(est.numerator) if est.denominator == 1 else fraction_str(est)
-    return f"{decimal_str(est, digits)} ({exact})"
-
-
 def cmd_series(args: argparse.Namespace) -> None:
     # rows print as the pass yields them, so only one exact row is alive
     for row in series.iter_report([args.series], args.terms, args.digits):
-        print(f"{row.series}  N={row.terms}  "
-              f"{_estimate_cell(row.estimate, args.digits)}  "
-              f"error={row.error_vs_reference}")
+        cell, error = row.cells(args.digits)
+        print(f"{row.series}  N={row.terms}  {cell}  error={error}")
 
 
 # ---------------------------------------------------------------------------

@@ -247,12 +247,15 @@ def bound_expansion(k: int, digits: int, which: str,
 def certified_rational_bounds(k: int, digits: int, den_cap: int,
                               max_precision: int = polygon.DEFAULT_MAX_PRECISION,
                               ) -> CertifiedBounds:
-    """Best certified rational bracket of pi from the k-th doubling.
+    """A certified rational bracket of pi from the k-th doubling.
 
     Both perimeter decimals are expanded; the returned lower (upper) bound is
     the largest-denominator convergent under ``den_cap`` certified BELOW the
     inscribed (ABOVE the circumscribed) enclosure.  Convergent denominators
-    increase, so the last eligible candidate wins.
+    increase, so the last eligible candidate wins.  That is not the best
+    bracket under the cap, which may end at a semiconvergent: at k = 13,
+    12 digits and ``den_cap`` 1000 this returns 333/106 < pi < 355/113,
+    although 2818/897 is also certified below c_n.
     """
     if den_cap < 1:
         raise UsageError("den_cap must be >= 1")

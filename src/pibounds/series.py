@@ -19,7 +19,7 @@ truncations are rational and exact.  Viete's row N,
 perimeter c_n of the n-gon, n = 2**(N+1): its pass is the literal 2 for
 N = 0, then `polygon.doublings` seeded at the 4-gon (c_4 = sqrt(8), C_4 = 4),
 and each row is that certified interval rounded outward to ``precision``
-digits.
+digits.  A row holds values only; `SeriesEstimate.cells` writes its text.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from itertools import count, islice
 
 from . import polygon
 from .exactnum import (PI_REFERENCE, Interval, Rational, UsageError, decimal_str,
-                       interval_sqrt, make_interval)
+                       fraction_str, int_str, interval_sqrt, make_interval)
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,22 @@ class SeriesEstimate:
     series: str
     terms: int
     estimate: Rational | Interval
-    error_vs_reference: str
+
+    def cells(self, digits: int) -> tuple[str, str]:
+        """Estimate and signed error vs `PI_REFERENCE` at ``digits`` places: a
+        rational as ``decimal (p/q)``, Viete's interval outward.  The error
+        (a Viete row's at its midpoint) is one integer cross-multiplication."""
+        est = self.estimate
+        if isinstance(est, Interval):
+            cell = str(est.with_precision(digits))
+            num, den = est.lo + est.hi, 2 * 10**est.precision
+        else:
+            exact = int_str(est.numerator) if est.denominator == 1 else fraction_str(est)
+            cell = f"{decimal_str(est, digits)} ({exact})"
+            num, den = est.numerator, est.denominator
+        diff = num * PI_REFERENCE.denominator - PI_REFERENCE.numerator * den
+        error = decimal_str(Rational(abs(diff), den * PI_REFERENCE.denominator), digits)
+        return cell, ("+" if diff >= 0 else "-") + error
 
 
 def _leibniz(precision: int) -> Iterator[Rational]:
@@ -117,22 +132,15 @@ def _rows(series: str, first: int, precision: int) -> Iterator[SeriesEstimate]:
     if first < min_terms:
         raise UsageError(f"{series} needs terms >= {min_terms}, got {first}")
     estimates = islice(_PASSES[series](precision), first, None)
-    return (SeriesEstimate(series, n, estimate, _error(estimate, precision))
+    return (SeriesEstimate(series, n, estimate)
             for n, estimate in enumerate(estimates, first))
-
-
-def _error(estimate: Rational | Interval, precision: int) -> str:
-    value = estimate.midpoint() if isinstance(estimate, Interval) else estimate
-    diff = value - PI_REFERENCE
-    return ("+" if diff >= 0 else "-") + decimal_str(abs(diff), precision)
 
 
 def evaluate_series(series: str, terms: int, precision: int) -> SeriesEstimate:
     """Exact truncation of one series, converted to a pi estimate.
 
     This is row ``terms`` of the series' pass.  ``precision`` sets the Viete
-    interval scale and the number of digits in the reported error; the
-    rational series are exact regardless.
+    interval scale; the rational series are exact regardless.
     """
     return next(_rows(series, terms, precision))
 

@@ -112,7 +112,8 @@ def check_row(row: SeriesEstimate, series: str, terms: int, precision: int) -> N
     if series != "viete":
         value = {"leibniz": ref_leibniz, "nilakantha": ref_nilakantha,
                  "brouncker": ref_brouncker, "wallis": ref_wallis}[series](terms)
-        assert row == SeriesEstimate(series, terms, value, error_text(value, precision))
+        assert row == SeriesEstimate(series, terms, value)
+        assert row.cells(precision)[1] == error_text(value, precision)
         return
     iv = row.estimate
     assert (row.series, row.terms, iv.precision) == (series, terms, precision)
@@ -120,7 +121,7 @@ def check_row(row: SeriesEstimate, series: str, terms: int, precision: int) -> N
     ref = ref_viete(terms, precision)
     assert ref.lo <= iv.lo <= iv.hi <= ref.hi, (terms, precision)
     assert iv.hi - iv.lo <= 2, (terms, precision)
-    assert row.error_vs_reference == error_text(iv.midpoint(), precision)
+    assert row.cells(precision)[1] == error_text(iv.midpoint(), precision)
 
 
 class TestSinglePass:
@@ -202,8 +203,8 @@ class TestRationalSeries:
         assert [row.terms for row in rows] == list(range(1, 401))
         for row in rows:
             value = ref_brouncker_forward(row.terms)
-            assert row == SeriesEstimate("brouncker", row.terms, value,
-                                         error_text(value, 8))
+            assert row == SeriesEstimate("brouncker", row.terms, value)
+            assert row.cells(8)[1] == error_text(value, 8)
 
     def test_brouncker_equals_leibniz_shifted(self):
         """Depth-d truncation collapses to the (d+1)-term alternating sum."""
@@ -257,6 +258,46 @@ class TestViete:
             assert bounds_at(k, 12).lower.hi_rational < PI_REFERENCE
 
 
+class TestCells:
+    """`SeriesEstimate.cells`, the one writer of a series row."""
+
+    @pytest.mark.parametrize("digits", [1, 8, 20, 200])
+    def test_viete_cells(self, digits):
+        for row in convergence_report(["viete"], 300, digits):
+            assert row.cells(digits) == (
+                str(row.estimate), error_text(row.estimate.midpoint(), digits))
+
+    def test_rational_cells(self):
+        assert SeriesEstimate("leibniz", 1, Fraction(4)).cells(3) == \
+            ("4.000 (4)", "+0.858")
+        assert SeriesEstimate("nilakantha", 3, Fraction(47, 15)).cells(12) == \
+            ("3.133333333333 (47/15)", "-0.008259320256")
+
+    def test_sign_of_zero(self):
+        below = SeriesEstimate("leibniz", 1, PI_REFERENCE - Fraction(1, 10**20))
+        assert below.cells(8)[1] == "-0.00000000"
+        assert SeriesEstimate("leibniz", 1, PI_REFERENCE).cells(8)[1] == "+0.00000000"
+
+    @pytest.mark.parametrize("digits", [1, 5, 19])
+    def test_viete_cell_below_row_precision_is_outward(self, digits):
+        for row in convergence_report(["viete"], 40, 20):
+            lo, hi = row.cells(digits)[0].strip("[]").split(", ")
+            assert len(lo.split(".")[1]) == len(hi.split(".")[1]) == digits
+            assert Fraction(lo) <= row.estimate.lo_rational
+            assert row.estimate.hi_rational <= Fraction(hi)
+
+    def test_no_fraction_subtraction_while_writing(self, monkeypatch):
+        rows = convergence_report(list(SERIES_NAMES), 300, 12)
+        expected = [row.cells(12) for row in rows]
+
+        def refuse(*args):
+            raise AssertionError("Fraction subtraction while writing a row")
+
+        monkeypatch.setattr(Fraction, "__sub__", refuse)
+        monkeypatch.setattr(Fraction, "__rsub__", refuse)
+        assert [row.cells(12) for row in rows] == expected
+
+
 class TestValidation:
     def test_unknown_series(self):
         with pytest.raises(UsageError, match="unknown series 'machin'"):
@@ -298,7 +339,7 @@ class TestConvergenceReport:
 
     def test_leibniz_error_signs_alternate(self):
         rows = convergence_report(["leibniz"], 4, 8)
-        assert [r.error_vs_reference[0] for r in rows] == ["+", "-", "+", "-"]
+        assert [r.cells(8)[1][0] for r in rows] == ["+", "-", "+", "-"]
 
     def test_viete_rows_increase_toward_pi(self):
         rows = convergence_report(["viete"], 3, 10)
