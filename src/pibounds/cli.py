@@ -14,10 +14,11 @@ import argparse
 import functools
 import json
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
+from itertools import chain, repeat
 
 from . import contfrac, polygon, series
-from .exactnum import (PI_REFERENCE, PiBoundsError, Rational, UsageError,
+from .exactnum import (PI_REFERENCE, PiBoundsError, Rational, Side, UsageError,
                        decimal_str, fraction_str, int_str)
 
 EXIT_OK = 0
@@ -130,7 +131,11 @@ def cmd_table(args: argparse.Namespace) -> None:
 # cf
 # ---------------------------------------------------------------------------
 
-def _print_convergents(texts: Iterator[str], verdicts: Iterator[str] | None = None,
+def _verdict_word(side: Side) -> str:
+    return side.value
+
+
+def _print_convergents(texts: Iterator[str], verdicts: Iterable[str] | None = None,
                        width: int = 0) -> None:
     """One line per convergent, written as its text is made.  Numerators and
     denominators never decrease, so the verdict column's ``width`` is the
@@ -162,7 +167,7 @@ def cmd_cf(args: argparse.Namespace) -> None:
     print(f"decimal = {exp.decimal_text} = {last}")
     print(f"coefficients = {exp.cf}")
     _print_convergents(contfrac.convergent_texts(exp.cf),
-                       (c.verdict.value for c in exp.candidates), len(last))
+                       exp.verdict_column(_verdict_word), len(last))
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +177,12 @@ def cmd_cf(args: argparse.Namespace) -> None:
 def _print_candidates(exp: contfrac.BoundExpansion) -> None:
     """The ``{which} candidates`` line, written one candidate at a time."""
     print(f"{exp.which} candidates (from {exp.decimal_text}): ", end="")
+    notes = chain(repeat("", exp.cap_end), repeat(" (over cap)"))
     sys.stdout.writelines(
-        f"{'; ' if i else ''}{text} {cand.verdict.value}"
-        f"{'' if cand.within_cap else ' (over cap)'}"
-        for i, (text, cand) in enumerate(zip(contfrac.convergent_texts(exp.cf),
-                                             exp.candidates)))
+        f"{'; ' if i else ''}{text} {word}{note}"
+        for i, (text, word, note) in enumerate(zip(
+            contfrac.convergent_texts(exp.cf), exp.verdict_column(_verdict_word),
+            notes)))
     print()
 
 

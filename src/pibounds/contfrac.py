@@ -1,10 +1,10 @@
 """Continued fractions of exact rationals and certified rational pi bounds.
 
-Expanding the outward-rounded decimal value of a polygon perimeter and walking
-its convergents yields small-denominator fractions that can be *certified*
-against the perimeter enclosures: a convergent strictly below the inscribed
-perimeter is a proven lower bound for pi, one strictly above the circumscribed
-perimeter a proven upper bound.
+Expanding the outward-rounded decimal value of an enclosure of pi (such as a
+polygon perimeter) and walking its convergents yields small-denominator
+fractions that can be *certified* against the enclosure: a convergent
+strictly below the inscribed perimeter is a proven lower bound for pi, one
+strictly above the circumscribed perimeter a proven upper bound.
 
 A convergent h_i/k_i is kept as its two integers.  They are coprime by
 construction, since h_i k_{i-1} - h_{i-1} k_i = (-1)**(i-1), so no gcd is
@@ -15,7 +15,11 @@ against the enclosure's mantissas (`exactnum.side_of`).  The Fraction
 Few convergents need that comparison.  Those on the far side of the outward
 decimal are certified by their index parity; those on the near side approach
 the decimal monotonically, so their verdicts form three runs whose ends two
-bisections find: O(log n) ``side_of`` calls for n convergents.
+bisections find: O(log n) ``side_of`` calls for n convergents.  A
+`BoundExpansion` keeps only those two run ends, the last convergent's own
+verdict, and the end of the prefix of denominators under the cap (the
+denominators increase, so one more bisection finds it).  Its per-convergent
+records, `BoundCandidate`, are built only when ``candidates`` is read.
 
 Their text is made apart from the ints: `convergent_texts` runs the same
 forward recurrence again, past a few hundred bits on exact ``Decimal``
@@ -26,14 +30,14 @@ is quadratic and would be most of the cost of printing a long list.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
-from collections.abc import Iterator
+from bisect import bisect_left, bisect_right
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
 
 from . import polygon
-from .exactnum import (PiBoundsError, Rational, Side, UsageError, decimal_str,
-                       fraction_str, int_str, side_of)
+from .exactnum import (Interval, PiBoundsError, Rational, Side, UsageError, _Ratio,
+                       decimal_str, fraction_str, int_str, side_of)
 
 # optional integer part, optional fraction part, at least one digit, no sign
 # or exponent ("3", "3.14", ".5"; not "", ".", "3.", "1e3")
@@ -103,19 +107,25 @@ def expand(q: Rational) -> ContinuedFraction:
         n, d = d, r
 
 
+def _recurrence(coeffs: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Numerators h_i and denominators k_i of every convergent, by the
+    standard forward recurrence on plain ints (no gcd is taken)."""
+    hs, ks = [], []
+    h, h_prev = 1, 0   # h_{-1}, h_{-2}
+    k, k_prev = 0, 1   # k_{-1}, k_{-2}
+    for a in coeffs:
+        h, h_prev = a * h + h_prev, h
+        k, k_prev = a * k + k_prev, k
+        hs.append(h)
+        ks.append(k)
+    return hs, ks
+
+
 def convergents(cf: ContinuedFraction) -> list[Convergent]:
     """All convergents h_i/k_i via the standard forward recurrence, as
     coprime integer pairs (no gcd is taken)."""
-    h_prev, h_prev2 = 1, 0   # h_{-1}, h_{-2}
-    k_prev, k_prev2 = 0, 1   # k_{-1}, k_{-2}
-    out = []
-    for i, a in enumerate(cf.coeffs):
-        h = a * h_prev + h_prev2
-        k = a * k_prev + k_prev2
-        out.append(Convergent(h, k, i))
-        h_prev2, h_prev = h_prev, h
-        k_prev2, k_prev = k_prev, k
-    return out
+    return [Convergent(h, k, i)
+            for i, (h, k) in enumerate(zip(*_recurrence(cf.coeffs)))]
 
 
 # Past this size a convergent's text is cheaper from the Decimal recurrence:
@@ -171,21 +181,71 @@ class BoundCandidate:
     within_cap: bool
 
 
+# per side: the parity of the convergent indices on the far side of the
+# outward decimal, the verdict that certifies a bound, and the opposite one
+_SIDES = {"lower": (0, Side.BELOW, Side.ABOVE), "upper": (1, Side.ABOVE, Side.BELOW)}
+
+
 @dataclass(frozen=True)
 class BoundExpansion:
-    """A perimeter's outward decimal, its expansion, and verdicts per convergent."""
+    """An enclosure's outward decimal, its expansion, and the verdicts of its
+    convergents as runs plus a cap end.
+
+    Every convergent at the far-side parity but the last is ``far`` (BELOW
+    for the lower side, ABOVE for the upper).  The near-side ones are, in
+    order, ``near_ends[0]`` of the opposite verdict, WITHIN up to
+    ``near_ends[1]``, then ``far``.  The last convergent, the decimal
+    itself, has ``last_verdict``.  The first ``cap_end`` convergents have
+    denominators <= the cap.  Records are built only when ``candidates`` is
+    read.
+    """
 
     which: str                  # "lower" (c_n) or "upper" (C_n)
     n: int
     digits: int
     decimal: Rational           # the d-digit decimal fed into the expansion
     cf: ContinuedFraction
-    candidates: tuple[BoundCandidate, ...]
+    near_ends: tuple[int, int]  # ends of the near side's opposite and WITHIN runs
+    last_verdict: Side
+    cap_end: int                # convergents with denominator <= den_cap
 
     @property
     def decimal_text(self) -> str:
         # ``decimal`` is exact at ``digits`` places, so no rounding happens here
         return decimal_str(self.decimal, self.digits)
+
+    def verdict_column(self, label: Callable[[Side], object]) -> list:
+        """``label(verdict)`` of every convergent, in order.  Each run is laid
+        out by list slicing, so ``label`` is called once per run, not once
+        per convergent."""
+        parity, far, opposite = _SIDES[self.which]
+        column = [label(far)] * len(self.cf.coeffs)
+        near = len(range(1 - parity, len(column), 2))
+        past_opposite, past_within = self.near_ends
+        column[1 - parity::2] = ([label(opposite)] * past_opposite
+                                 + [label(Side.WITHIN)] * (past_within - past_opposite)
+                                 + [label(far)] * (near - past_within))
+        column[-1] = label(self.last_verdict)
+        return column
+
+    @property
+    def candidates(self) -> tuple[BoundCandidate, ...]:
+        """One record per convergent, built on each read from the runs."""
+        verdicts = self.verdict_column(lambda side: side)
+        return tuple(BoundCandidate(conv, verdict, conv.index < self.cap_end)
+                     for conv, verdict in zip(convergents(self.cf), verdicts))
+
+    def _verdict(self, i: int) -> Side:
+        """Convergent i's verdict, read from the runs; on the near side it
+        is convergent i // 2 of that side."""
+        parity, far, opposite = _SIDES[self.which]
+        if i == len(self.cf.coeffs) - 1:
+            return self.last_verdict
+        if i % 2 == parity:
+            return far
+        past_opposite, past_within = self.near_ends
+        return (opposite if i // 2 < past_opposite
+                else Side.WITHIN if i // 2 < past_within else far)
 
 
 @dataclass(frozen=True)
@@ -198,40 +258,38 @@ class CertifiedBounds:
     upper_expansion: BoundExpansion
 
 
-def _expansion(bounds: polygon.PolygonBounds, digits: int, which: str,
-               den_cap: int) -> BoundExpansion:
+def _expansion(enclosure: Interval, which: str, digits: int, den_cap: int,
+               n: int) -> BoundExpansion:
+    """Expand the ``digits``-place decimal of ``enclosure`` rounded outward
+    (down for the "lower" side, up for the "upper"), and find its verdict
+    runs and cap end by bisection, building no per-convergent record."""
+    parity, far_side, opposite = _SIDES[which]
     # round the decimal outward so it stays on the certified side of pi
-    if which == "lower":
-        enclosure, parity, far_side, opposite = bounds.lower, 0, Side.BELOW, Side.ABOVE
-        decimal = enclosure.with_precision(digits).lo_rational
-    else:
-        enclosure, parity, far_side, opposite = bounds.upper, 1, Side.ABOVE, Side.BELOW
-        decimal = enclosure.with_precision(digits).hi_rational
+    rounded = enclosure.with_precision(digits)
+    decimal = rounded.lo_rational if which == "lower" else rounded.hi_rational
     cf = expand(decimal)
-    convs = convergents(cf)
+    hs, ks = _recurrence(cf.coeffs)
     # The convergents alternate around the decimal D, even indices below it
     # and odd ones above, strictly except the last, which is D.  As D <= lo
     # (lower) or D >= hi (upper), one on the far side of D is certified by
     # its index parity alone.  The near-side ones move monotonically toward
     # D, across the enclosure, so their verdicts are three runs in order:
     # opposite, WITHIN, far_side.  Two bisections find where the runs end.
-    verdicts = [far_side] * len(convs)
-    near = convs[1 - parity::2]
-    past_opposite = bisect_left(
-        near, True, key=lambda c: side_of(c, enclosure) is not opposite)
-    past_within = bisect_left(
-        near, True, past_opposite, key=lambda c: side_of(c, enclosure) is far_side)
-    verdicts[1 - parity::2] = ([opposite] * past_opposite
-                               + [Side.WITHIN] * (past_within - past_opposite)
-                               + [far_side] * (len(near) - past_within))
-    if convs[-1].index % 2 == parity:
-        # the last convergent is D itself, which may sit on lo (hi) exactly
-        verdicts[-1] = side_of(convs[-1], enclosure)
-    candidates = tuple(
-        BoundCandidate(conv, verdict, conv.denominator <= den_cap)
-        for conv, verdict in zip(convs, verdicts))
-    return BoundExpansion(which=which, n=bounds.n, digits=digits,
-                          decimal=decimal, cf=cf, candidates=candidates)
+    near = range(1 - parity, len(ks), 2)
+
+    def verdict(i: int) -> Side:
+        return side_of(_Ratio(hs[i], ks[i]), enclosure)
+
+    past_opposite = bisect_left(near, True, key=lambda i: verdict(i) is not opposite)
+    past_within = bisect_left(near, True, past_opposite,
+                              key=lambda i: verdict(i) is far_side)
+    return BoundExpansion(which=which, n=n, digits=digits, decimal=decimal, cf=cf,
+                          near_ends=(past_opposite, past_within),
+                          # the last convergent is D itself, which parity
+                          # cannot certify: it may sit on lo (hi) exactly
+                          last_verdict=side_of(decimal, enclosure),
+                          # denominators never decrease, k_0 = 1 <= k_1 < k_2 < ...
+                          cap_end=bisect_right(ks, den_cap))
 
 
 def bound_expansion(k: int, digits: int, which: str,
@@ -241,7 +299,7 @@ def bound_expansion(k: int, digits: int, which: str,
     if which not in ("lower", "upper"):
         raise UsageError(f"which must be 'lower' or 'upper', got {which!r}")
     bounds = polygon.bounds_at(k, digits, max_precision)
-    return _expansion(bounds, digits, which, den_cap=0)
+    return _expansion(getattr(bounds, which), which, digits, 0, bounds.n)
 
 
 def certified_rational_bounds(k: int, digits: int, den_cap: int,
@@ -260,17 +318,22 @@ def certified_rational_bounds(k: int, digits: int, den_cap: int,
     if den_cap < 1:
         raise UsageError("den_cap must be >= 1")
     bounds = polygon.bounds_at(k, digits, max_precision)
-    lower_exp = _expansion(bounds, digits, "lower", den_cap)
-    upper_exp = _expansion(bounds, digits, "upper", den_cap)
+    lower_exp = _expansion(bounds.lower, "lower", digits, den_cap, bounds.n)
+    upper_exp = _expansion(bounds.upper, "upper", digits, den_cap, bounds.n)
 
     def pick(exp: BoundExpansion, wanted: Side) -> Rational:
-        eligible = [c for c in exp.candidates
-                    if c.within_cap and c.verdict is wanted]
-        if not eligible:
+        # the last convergent under the cap with the wanted (far-side)
+        # verdict: every far-parity one but the last is certified, so this
+        # steps back from the cap end at most twice
+        i = exp.cap_end - 1
+        while i >= 0 and exp._verdict(i) is not wanted:
+            i -= 1
+        if i < 0:
             raise NoValidBound(
                 f"no convergent with denominator <= {den_cap} certified "
                 f"{wanted.value} the {exp.which} enclosure at n={int_str(exp.n)}")
-        return eligible[-1].convergent.value
+        hs, ks = _recurrence(exp.cf.coeffs[:i + 1])
+        return Rational(hs[-1], ks[-1])
 
     return CertifiedBounds(n=bounds.n, den_cap=den_cap,
                            lower=pick(lower_exp, Side.BELOW),

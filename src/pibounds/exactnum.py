@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 Rational = Fraction
 
@@ -77,6 +78,15 @@ def int_str(m: int) -> str:
         return str(m)
     except ValueError:
         return str(Decimal(m))
+
+
+class _Ratio(NamedTuple):
+    """n/d as two ints, not reduced.  `side_of` and `decimal_str` read only
+    ``numerator`` and ``denominator``, so a pair they compare or round needs
+    no gcd, which building a Fraction takes."""
+
+    numerator: int
+    denominator: int
 
 
 def fraction_str(q: Rational) -> str:
@@ -250,9 +260,9 @@ def side_of(q: Rational | int, iv: Interval) -> Side:
 
     The test is integer cross-multiplication: with q = n/d (d > 0) and the
     endpoints m * 10**-p, q < lo exactly when n * 10**p < lo * d.  Only
-    ``q.numerator`` and ``q.denominator`` are read, so an int, a Fraction or
-    a contfrac.Convergent is compared without building a Fraction or taking
-    a gcd.
+    ``q.numerator`` and ``q.denominator`` are read, so an int, a Fraction, a
+    contfrac.Convergent or a `_Ratio` is compared without building a
+    Fraction or taking a gcd.
     """
     scaled = q.numerator * 10**iv.precision
     d = q.denominator

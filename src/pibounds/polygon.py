@@ -263,8 +263,12 @@ class RadicalExpr:
         return "".join(parts)
 
 
+# the opening of one radical per sign; RadicalExpr admits no other sign
+_OPENINGS = {"+": f"{_SQRT}(2+", "-": f"{_SQRT}(2{_MINUS}"}
+
+
 def _render_tower(signs: tuple[str, ...]) -> str:
-    opens = "".join(f"{_SQRT}(2{'+' if sign == '+' else _MINUS}" for sign in signs)
+    opens = "".join(map(_OPENINGS.__getitem__, signs))
     return f"{opens}{_SQRT}3{')' * len(signs)}"
 
 

@@ -29,8 +29,9 @@ from dataclasses import dataclass
 from itertools import count, islice
 
 from . import polygon
-from .exactnum import (PI_REFERENCE, Interval, Rational, UsageError, decimal_str,
-                       fraction_str, int_str, interval_sqrt, make_interval)
+from .exactnum import (PI_REFERENCE, Interval, Rational, UsageError, _Ratio,
+                       decimal_str, fraction_str, int_str, interval_sqrt,
+                       make_interval)
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,8 @@ class SeriesEstimate:
             cell = f"{decimal_str(est, digits)} ({exact})"
             num, den = est.numerator, est.denominator
         diff = num * PI_REFERENCE.denominator - PI_REFERENCE.numerator * den
-        error = decimal_str(Rational(abs(diff), den * PI_REFERENCE.denominator), digits)
+        # nearest rounding needs no reduced fraction, so no gcd is taken
+        error = decimal_str(_Ratio(abs(diff), den * PI_REFERENCE.denominator), digits)
         return cell, ("+" if diff >= 0 else "-") + error
 
 

@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pibounds.contfrac as contfrac_module
+import pibounds.polygon as polygon_module
+from pibounds.cli import main
 from pibounds.contfrac import (
     ContinuedFraction,
     NoValidBound,
@@ -254,6 +258,54 @@ class TestCertifiedRationalBounds:
         with pytest.raises(ValueError):
             certified_rational_bounds(5, 8, 0)
 
+    @given(precision=st.integers(1, 30), digits=st.integers(1, 40),
+           data=st.data())
+    @settings(max_examples=300)
+    def test_pick_is_the_last_certified_convergent_under_the_cap(
+            self, precision, digits, data):
+        """On synthetic enclosures, the bracket is what a scan of every
+        convergent finds: the last one with denominator <= cap whose
+        ``side_of`` is BELOW the enclosure (lower) or ABOVE it (upper)."""
+        lo = data.draw(st.integers(10**precision, 10**(precision + 1)))
+        scale = data.draw(st.integers(0, precision))
+        enclosure = Interval(lo, lo + data.draw(st.integers(0, 10**scale)),
+                             precision)
+        rounded = enclosure.with_precision(digits)
+        convs = {"lower": convergents(expand(rounded.lo_rational)),
+                 "upper": convergents(expand(rounded.hi_rational))}
+        dens = sorted({c.denominator for side in convs.values() for c in side})
+        # a cap at a denominator, 1 (below every denominator after k_0 = 1,
+        # and k_1 when a_1 = 1), above the last one, or anywhere
+        cap = data.draw(st.one_of(st.sampled_from(dens), st.just(1),
+                                  st.integers(dens[-1], dens[-1] + 10),
+                                  st.integers(1, 10**(precision + 2))))
+        wanted = {"lower": Side.BELOW, "upper": Side.ABOVE}
+        expected = {}
+        for which, side_convs in convs.items():
+            eligible = [c for c in side_convs if c.denominator <= cap
+                        and side_of(c, enclosure) is wanted[which]]
+            expected[which] = eligible[-1].value if eligible else None
+        polygon = PolygonBounds(n=96, lower=enclosure, upper=enclosure)
+        with mock.patch.object(polygon_module, "bounds_at",
+                               lambda k, digits, max_precision: polygon):
+            missing = [w for w in ("lower", "upper") if expected[w] is None]
+            if missing:
+                message = (f"no convergent with denominator <= {cap} certified "
+                           f"{wanted[missing[0]].value} the {missing[0]} "
+                           f"enclosure at n=96")
+                with pytest.raises(NoValidBound) as caught:
+                    certified_rational_bounds(0, digits, cap)
+                assert str(caught.value) == message
+                return
+            result = certified_rational_bounds(0, digits, cap)
+        assert (result.lower, result.upper) == (expected["lower"], expected["upper"])
+        for exp in (result.lower_expansion, result.upper_expansion):
+            scanned = [c for c in exp.candidates
+                       if c.within_cap and c.verdict is wanted[exp.which]]
+            assert scanned[-1].convergent.value == expected[exp.which]
+            assert [c.within_cap for c in exp.candidates] == \
+                [c.denominator <= cap for c in convs[exp.which]]
+
 
 class TestBoundExpansion:
     def test_lower_coefficients_match_decimal_expansion(self):
@@ -288,10 +340,10 @@ class TestBoundExpansion:
     def test_last_convergent_at_the_endpoint_is_within(self):
         """The last convergent is the decimal itself; when that decimal is
         the enclosure's endpoint exactly, parity must not certify it."""
-        bounds = PolygonBounds(n=96, lower=Interval(314000, 314100, 5),
-                               upper=Interval(314900, 315000, 5))
+        enclosures = {"lower": Interval(314000, 314100, 5),
+                      "upper": Interval(314900, 315000, 5)}
         for which, coeffs in (("lower", (3, 7, 7)), ("upper", (3, 6, 1, 2))):
-            exp = contfrac_module._expansion(bounds, 2, which, 100)
+            exp = contfrac_module._expansion(enclosures[which], which, 2, 100, 96)
             assert exp.cf.coeffs == coeffs
             assert len(coeffs) % 2 == (which == "lower")  # last index on the far side
             assert exp.candidates[-1].verdict is Side.WITHIN
@@ -300,7 +352,7 @@ class TestBoundExpansion:
     @pytest.mark.parametrize("which", ["lower", "upper"])
     def test_bisection_bounds_side_of_calls(self, k, digits, which, monkeypatch):
         """Near-side verdicts are found by two bisections, plus one side_of
-        for the last convergent when it is on the far side."""
+        for the last convergent."""
         calls = 0
 
         def counting_side_of(q, iv):
@@ -316,6 +368,44 @@ class TestBoundExpansion:
         assert all(c.verdict is side_of(c.convergent, enclosure)
                    for c in exp.candidates)
 
+    def test_no_records_on_the_hot_path(self, monkeypatch, capsys):
+        """Expanding, certifying and printing a long list builds no
+        Convergent or BoundCandidate; reading ``candidates`` builds them."""
+        built = Counter()
+
+        def counting(cls):
+            class Counting(cls):
+                def __init__(self, *args, **kwargs):
+                    built[cls.__name__] += 1
+                    super().__init__(*args, **kwargs)
+            return Counting
+
+        for name in ("Convergent", "BoundCandidate"):
+            monkeypatch.setattr(contfrac_module, name,
+                                counting(getattr(contfrac_module, name)))
+        cap = 10**333
+        expansions = [bound_expansion(120, 1000, which)
+                      for which in ("lower", "upper")]
+        result = certified_rational_bounds(119, 998, cap)
+        for which in ("lower", "upper"):
+            assert main(["cf", "--from-bound", which, "--doublings", "120",
+                         "--digits", "1000"]) == 0
+        assert main(["approx", "--doublings", "119", "--digits", "998",
+                     "--den-cap", str(cap)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") > 2 * 1800 and out.count("(over cap)") > 1800
+        assert built == Counter()
+
+        expansions += [result.lower_expansion, result.upper_expansion]
+        for exp, k, digits in zip(expansions, (120, 120, 119, 119),
+                                  (1000, 1000, 998, 998)):
+            enclosure = getattr(bounds_at(k, digits), exp.which)
+            cands = exp.candidates
+            assert len(cands) > 1800
+            assert [c.convergent for c in cands] == convergents(exp.cf)
+            assert all(c.verdict is side_of(c.convergent, enclosure) for c in cands)
+        assert built["BoundCandidate"] == sum(len(e.cf.coeffs) for e in expansions)
+
     @given(precision=st.integers(1, 30), digits=st.integers(1, 40),
            data=st.data())
     @settings(max_examples=300)
@@ -324,9 +414,8 @@ class TestBoundExpansion:
         scale = data.draw(st.integers(0, precision))
         enclosure = Interval(lo, lo + data.draw(st.integers(0, 10**scale)),
                              precision)
-        bounds = PolygonBounds(n=96, lower=enclosure, upper=enclosure)
         for which in ("lower", "upper"):
-            exp = contfrac_module._expansion(bounds, digits, which, 100)
+            exp = contfrac_module._expansion(enclosure, which, digits, 100, 96)
             for c in exp.candidates:
                 assert c.verdict is side_of(c.convergent, enclosure), (which, c)
 
@@ -342,8 +431,7 @@ class TestBoundExpansion:
          ["below"] * 4 + ["within"] + ["above"]),
     ])
     def test_near_side_with_all_three_runs(self, which, enclosure, near_verdicts):
-        bounds = PolygonBounds(n=96, lower=enclosure, upper=enclosure)
-        exp = contfrac_module._expansion(bounds, 8, which, 100)
+        exp = contfrac_module._expansion(enclosure, which, 8, 100, 96)
         assert exp.decimal_text == "3.14159265"
         assert exp.cf.coeffs == (3, 7, 15, 1, 288, 1, 2, 1, 3, 1, 7, 4)
         near = exp.candidates[(which == "lower")::2]
