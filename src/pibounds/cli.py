@@ -131,20 +131,17 @@ def cmd_table(args: argparse.Namespace) -> None:
 # cf
 # ---------------------------------------------------------------------------
 
-def _verdict_word(side: Side) -> str:
-    return side.value
-
-
-def _print_convergents(texts: Iterator[str], verdicts: Iterable[str] | None = None,
+def _print_convergents(texts: Iterator[str], verdicts: Iterable[Side] | None = None,
                        width: int = 0) -> None:
     """One line per convergent, written as its text is made.  Numerators and
     denominators never decrease, so the verdict column's ``width`` is the
-    length of the last convergent's text, known before the first line."""
+    length of the last convergent's text, known before the first line.  The
+    word is the member's ``_value_``, which runs no Enum descriptor code."""
     print("convergents:")
     if verdicts is None:
         lines = (f"  {i}: {text}\n" for i, text in enumerate(texts))
     else:
-        lines = (f"  {i}: {text.ljust(width)}  {verdict}\n"
+        lines = (f"  {i}: {text.ljust(width)}  {verdict._value_}\n"
                  for i, (text, verdict) in enumerate(zip(texts, verdicts)))
     sys.stdout.writelines(lines)
 
@@ -166,8 +163,7 @@ def cmd_cf(args: argparse.Namespace) -> None:
     print(f"bound = {exp.which} ({label}), n = {int_str(exp.n)}, digits = {exp.digits}")
     print(f"decimal = {exp.decimal_text} = {last}")
     print(f"coefficients = {exp.cf}")
-    _print_convergents(contfrac.convergent_texts(exp.cf),
-                       exp.verdict_column(_verdict_word), len(last))
+    _print_convergents(contfrac.convergent_texts(exp.cf), exp.verdicts, len(last))
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +175,9 @@ def _print_candidates(exp: contfrac.BoundExpansion) -> None:
     print(f"{exp.which} candidates (from {exp.decimal_text}): ", end="")
     notes = chain(repeat("", exp.cap_end), repeat(" (over cap)"))
     sys.stdout.writelines(
-        f"{'; ' if i else ''}{text} {word}{note}"
-        for i, (text, word, note) in enumerate(zip(
-            contfrac.convergent_texts(exp.cf), exp.verdict_column(_verdict_word),
-            notes)))
+        f"{'; ' if i else ''}{text} {verdict._value_}{note}"
+        for i, (text, verdict, note) in enumerate(zip(
+            contfrac.convergent_texts(exp.cf), exp.verdicts, notes)))
     print()
 
 

@@ -16,10 +16,11 @@ Few convergents need that comparison.  Those on the far side of the outward
 decimal are certified by their index parity; those on the near side approach
 the decimal monotonically, so their verdicts form three runs whose ends two
 bisections find: O(log n) ``side_of`` calls for n convergents.  A
-`BoundExpansion` keeps only those two run ends, the last convergent's own
-verdict, and the end of the prefix of denominators under the cap (the
-denominators increase, so one more bisection finds it).  Its per-convergent
-records, `BoundCandidate`, are built only when ``candidates`` is read.
+`BoundExpansion` lays those runs out once, by list slicing, as one verdict
+per convergent (the last convergent's is its own ``side_of``), and keeps the
+end of the prefix of denominators under the cap (the denominators increase,
+so one more bisection finds it).  Its per-convergent records,
+`BoundCandidate`, are built only when ``candidates`` is read.
 
 Their text is made apart from the ints: `convergent_texts` runs the same
 forward recurrence again, past a few hundred bits on exact ``Decimal``
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
 
@@ -39,9 +40,10 @@ from . import polygon
 from .exactnum import (Interval, PiBoundsError, Rational, Side, UsageError, _Ratio,
                        decimal_str, fraction_str, int_str, side_of)
 
-# optional integer part, optional fraction part, at least one digit, no sign
-# or exponent ("3", "3.14", ".5"; not "", ".", "3.", "1e3")
-_DECIMAL_RE = re.compile(r"^(\d+)?(?:\.(\d+))?$")
+# the whole string, in ASCII digits: optional integer part, optional fraction
+# part, at least one digit, no sign, exponent or newline ("3", "3.14", ".5";
+# not "", ".", "3.", "1e3", "3.14\n", "٣.١٤")
+_DECIMAL_RE = re.compile(r"(\d+)?(?:\.(\d+))?", re.ASCII)
 
 
 class NoValidBound(PiBoundsError, LookupError):
@@ -83,7 +85,7 @@ class Convergent:
 def parse_decimal(text: str) -> Rational:
     """Exact rational value of a decimal literal (d / 10**m, stored reduced),
     read by Decimal, which has no digit limit where ``int(str)`` has one."""
-    m = _DECIMAL_RE.match(text)
+    m = _DECIMAL_RE.fullmatch(text)
     if not m or (m.group(1) is None and m.group(2) is None):
         raise UsageError(f"not a plain positive decimal: {text!r}")
     value = Rational(Decimal(text))
@@ -188,16 +190,12 @@ _SIDES = {"lower": (0, Side.BELOW, Side.ABOVE), "upper": (1, Side.ABOVE, Side.BE
 
 @dataclass(frozen=True)
 class BoundExpansion:
-    """An enclosure's outward decimal, its expansion, and the verdicts of its
-    convergents as runs plus a cap end.
+    """An enclosure's outward decimal, its expansion, the verdict of each
+    convergent, and a cap end.
 
-    Every convergent at the far-side parity but the last is ``far`` (BELOW
-    for the lower side, ABOVE for the upper).  The near-side ones are, in
-    order, ``near_ends[0]`` of the opposite verdict, WITHIN up to
-    ``near_ends[1]``, then ``far``.  The last convergent, the decimal
-    itself, has ``last_verdict``.  The first ``cap_end`` convergents have
-    denominators <= the cap.  Records are built only when ``candidates`` is
-    read.
+    ``verdicts[i]`` is convergent i's ``side_of`` the enclosure.  The first
+    ``cap_end`` convergents have denominators <= the cap.  Records are built
+    only when ``candidates`` is read.
     """
 
     which: str                  # "lower" (c_n) or "upper" (C_n)
@@ -205,8 +203,7 @@ class BoundExpansion:
     digits: int
     decimal: Rational           # the d-digit decimal fed into the expansion
     cf: ContinuedFraction
-    near_ends: tuple[int, int]  # ends of the near side's opposite and WITHIN runs
-    last_verdict: Side
+    verdicts: tuple[Side, ...]  # one per convergent
     cap_end: int                # convergents with denominator <= den_cap
 
     @property
@@ -214,38 +211,11 @@ class BoundExpansion:
         # ``decimal`` is exact at ``digits`` places, so no rounding happens here
         return decimal_str(self.decimal, self.digits)
 
-    def verdict_column(self, label: Callable[[Side], object]) -> list:
-        """``label(verdict)`` of every convergent, in order.  Each run is laid
-        out by list slicing, so ``label`` is called once per run, not once
-        per convergent."""
-        parity, far, opposite = _SIDES[self.which]
-        column = [label(far)] * len(self.cf.coeffs)
-        near = len(range(1 - parity, len(column), 2))
-        past_opposite, past_within = self.near_ends
-        column[1 - parity::2] = ([label(opposite)] * past_opposite
-                                 + [label(Side.WITHIN)] * (past_within - past_opposite)
-                                 + [label(far)] * (near - past_within))
-        column[-1] = label(self.last_verdict)
-        return column
-
     @property
     def candidates(self) -> tuple[BoundCandidate, ...]:
-        """One record per convergent, built on each read from the runs."""
-        verdicts = self.verdict_column(lambda side: side)
+        """One record per convergent, built on each read."""
         return tuple(BoundCandidate(conv, verdict, conv.index < self.cap_end)
-                     for conv, verdict in zip(convergents(self.cf), verdicts))
-
-    def _verdict(self, i: int) -> Side:
-        """Convergent i's verdict, read from the runs; on the near side it
-        is convergent i // 2 of that side."""
-        parity, far, opposite = _SIDES[self.which]
-        if i == len(self.cf.coeffs) - 1:
-            return self.last_verdict
-        if i % 2 == parity:
-            return far
-        past_opposite, past_within = self.near_ends
-        return (opposite if i // 2 < past_opposite
-                else Side.WITHIN if i // 2 < past_within else far)
+                     for conv, verdict in zip(convergents(self.cf), self.verdicts))
 
 
 @dataclass(frozen=True)
@@ -261,8 +231,8 @@ class CertifiedBounds:
 def _expansion(enclosure: Interval, which: str, digits: int, den_cap: int,
                n: int) -> BoundExpansion:
     """Expand the ``digits``-place decimal of ``enclosure`` rounded outward
-    (down for the "lower" side, up for the "upper"), and find its verdict
-    runs and cap end by bisection, building no per-convergent record."""
+    (down for the "lower" side, up for the "upper"), and find its verdicts
+    and cap end by bisection, building no per-convergent record."""
     parity, far_side, opposite = _SIDES[which]
     # round the decimal outward so it stays on the certified side of pi
     rounded = enclosure.with_precision(digits)
@@ -283,11 +253,15 @@ def _expansion(enclosure: Interval, which: str, digits: int, den_cap: int,
     past_opposite = bisect_left(near, True, key=lambda i: verdict(i) is not opposite)
     past_within = bisect_left(near, True, past_opposite,
                               key=lambda i: verdict(i) is far_side)
+    verdicts = [far_side] * len(ks)
+    verdicts[1 - parity::2] = ([opposite] * past_opposite
+                               + [Side.WITHIN] * (past_within - past_opposite)
+                               + [far_side] * (len(near) - past_within))
+    # the last convergent is D itself, which parity cannot certify: it may
+    # sit on lo (hi) exactly
+    verdicts[-1] = side_of(decimal, enclosure)
     return BoundExpansion(which=which, n=n, digits=digits, decimal=decimal, cf=cf,
-                          near_ends=(past_opposite, past_within),
-                          # the last convergent is D itself, which parity
-                          # cannot certify: it may sit on lo (hi) exactly
-                          last_verdict=side_of(decimal, enclosure),
+                          verdicts=tuple(verdicts),
                           # denominators never decrease, k_0 = 1 <= k_1 < k_2 < ...
                           cap_end=bisect_right(ks, den_cap))
 
@@ -326,7 +300,7 @@ def certified_rational_bounds(k: int, digits: int, den_cap: int,
         # verdict: every far-parity one but the last is certified, so this
         # steps back from the cap end at most twice
         i = exp.cap_end - 1
-        while i >= 0 and exp._verdict(i) is not wanted:
+        while i >= 0 and exp.verdicts[i] is not wanted:
             i -= 1
         if i < 0:
             raise NoValidBound(

@@ -275,8 +275,9 @@ def _render_tower(signs: tuple[str, ...]) -> str:
 # A tower is the openings "√(2±" (the sign at offset 3 of each), then √3, then
 # one ")" per opening; the match leaves the count of ")" to compare.
 _TOWER = rf"((?:{_SQRT}\(2[-+{_MINUS}])*){_SQRT}3(\)*)"
-# multiplier, optional numerator tower, optional "/" and an integer or a tower;
-# kept a string: it is compiled (and cached) by the first parse, not at import
+# multiplier, optional numerator tower, optional "/" and an integer or a tower,
+# integers in ASCII digits (matched with re.ASCII); kept a string: it is
+# compiled (and cached) by the first parse, not at import
 _RADICAL_PATTERN = rf"(\d+)(?:{_DOT}?{_TOWER})?(?:/(?:(\d+)|{_TOWER}))?"
 
 
@@ -284,7 +285,7 @@ def parse_radical_expr(text: str) -> RadicalExpr:
     """Inverse of RadicalExpr.render (ASCII '-' accepted for the minus sign).
     Integers are read by Decimal, which has no digit limit where ``int(str)``
     has one."""
-    m = re.fullmatch(_RADICAL_PATTERN, text)
+    m = re.fullmatch(_RADICAL_PATTERN, text, re.ASCII)
     if m is None or any(opens is not None and len(opens) != 4 * len(closes)
                         for opens, closes in (m.group(2, 3), m.group(5, 6))):
         raise UsageError(f"cannot parse radical expression {text!r}")

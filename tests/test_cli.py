@@ -402,6 +402,9 @@ class TestExitCodes:
         (polygon.ladder, (1, 8, 0)),
         (contfrac.parse_decimal, ("3.",)),
         (contfrac.parse_decimal, ("0.000",)),
+        (contfrac.parse_decimal, ("3.14\n",)),
+        (contfrac.parse_decimal, ("٣.١٤",)),
+        (polygon.parse_radical_expr, ("١٢√3",)),
         (contfrac.expand, (Fraction(0),)),
         (series.evaluate_series, ("pi", 3, 8)),
         (series.evaluate_series, ("viete", 0, 8)),
@@ -409,6 +412,7 @@ class TestExitCodes:
     ], ids=["seed_state", "make_interval", "decimal_str", "interval_arith",
             "bound_expansion", "nested_radical_form", "parse_radical_expr",
             "side_count", "max_precision", "malformed_decimal", "zero_decimal",
+            "trailing_newline_decimal", "non_ascii_decimal", "non_ascii_radical",
             "expand_zero", "series_name", "term_count", "n_max"])
     def test_argument_checks_raise_usage_error(self, fn, args):
         """Every argument check raises UsageError itself, not a subclass."""
