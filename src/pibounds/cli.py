@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain, repeat
@@ -34,6 +33,10 @@ def _json_text(obj: object) -> str:
     """``json.dumps(obj, ensure_ascii=False)``.  json writes an int with
     ``int.__repr__``, which refuses one past the int-to-str digit limit; the
     text is then built here, with every int written by ``int_str``."""
+    # imported here, its only use: a text or csv run then never loads json
+    # and the four modules it pulls in
+    import json
+
     try:
         return json.dumps(obj, ensure_ascii=False)
     except ValueError:

@@ -32,9 +32,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
+from typing import NamedTuple
 
 from . import polygon
 from .exactnum import (Interval, PiBoundsError, Rational, Side, UsageError, _Ratio,
@@ -42,25 +43,35 @@ from .exactnum import (Interval, PiBoundsError, Rational, Side, UsageError, _Rat
 
 # the whole string, in ASCII digits: optional integer part, optional fraction
 # part, at least one digit, no sign, exponent or newline ("3", "3.14", ".5";
-# not "", ".", "3.", "1e3", "3.14\n", "٣.١٤")
-_DECIMAL_RE = re.compile(r"(\d+)?(?:\.(\d+))?", re.ASCII)
+# not "", ".", "3.", "1e3", "3.14\n", "٣.١٤"); kept a string: it is compiled
+# (and cached) by the first parse, not at import
+_DECIMAL_PATTERN = r"(\d+)?(?:\.(\d+))?"
 
 
 class NoValidBound(PiBoundsError, LookupError):
     """No convergent under the denominator cap is certified on the needed side."""
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
-    """Coefficients [a0; a1, a2, ...] of a finite simple continued fraction."""
+class ContinuedFraction(namedtuple("ContinuedFraction", "coeffs")):
+    """Coefficients [a0; a1, a2, ...] of a finite simple continued fraction.
 
+    A named tuple whose ``__new__`` checks them; `_make`, which ``_replace``
+    calls, goes through it.
+    """
+
+    __slots__ = ()
     coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+    def __new__(cls, coeffs: tuple[int, ...]) -> ContinuedFraction:
+        if not coeffs:
             raise ValueError("continued fraction needs at least one coefficient")
-        if self.coeffs[0] < 0 or any(a < 1 for a in self.coeffs[1:]):
+        if coeffs[0] < 0 or any(a < 1 for a in coeffs[1:]):
             raise ValueError("need a0 >= 0 and a_i >= 1 for i >= 1")
+        return tuple.__new__(cls, (coeffs,))
+
+    @classmethod
+    def _make(cls, fields: Iterable[tuple[int, ...]]) -> ContinuedFraction:
+        return cls(*fields)
 
     def __str__(self) -> str:
         head, *tail = map(int_str, self.coeffs)
@@ -69,8 +80,7 @@ class ContinuedFraction:
         return f"[{head}; " + ", ".join(tail) + "]"
 
 
-@dataclass(frozen=True)
-class Convergent:
+class Convergent(NamedTuple):
     """The ``index``-th convergent numerator/denominator, coprime, denominator >= 1."""
 
     numerator: int
@@ -85,7 +95,7 @@ class Convergent:
 def parse_decimal(text: str) -> Rational:
     """Exact rational value of a decimal literal (d / 10**m, stored reduced),
     read by Decimal, which has no digit limit where ``int(str)`` has one."""
-    m = _DECIMAL_RE.fullmatch(text)
+    m = re.fullmatch(_DECIMAL_PATTERN, text, re.ASCII)
     if not m or (m.group(1) is None and m.group(2) is None):
         raise UsageError(f"not a plain positive decimal: {text!r}")
     value = Rational(Decimal(text))
@@ -176,8 +186,7 @@ def reconstruct(cf: ContinuedFraction) -> Rational:
 # certified bounds for pi
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundCandidate:
+class BoundCandidate(NamedTuple):
     convergent: Convergent
     verdict: Side
     within_cap: bool
@@ -188,8 +197,7 @@ class BoundCandidate:
 _SIDES = {"lower": (0, Side.BELOW, Side.ABOVE), "upper": (1, Side.ABOVE, Side.BELOW)}
 
 
-@dataclass(frozen=True)
-class BoundExpansion:
+class BoundExpansion(NamedTuple):
     """An enclosure's outward decimal, its expansion, the verdict of each
     convergent, and a cap end.
 
@@ -218,8 +226,7 @@ class BoundExpansion:
                      for conv, verdict in zip(convergents(self.cf), self.verdicts))
 
 
-@dataclass(frozen=True)
-class CertifiedBounds:
+class CertifiedBounds(NamedTuple):
     n: int
     den_cap: int
     lower: Rational

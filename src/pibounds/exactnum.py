@@ -12,7 +12,8 @@ polygon recurrence upstairs into *certified* bounds rather than estimates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
@@ -117,19 +118,28 @@ def decimal_str(q: Rational, digits: int) -> str:
     return _mantissa_str(m, digits)
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Closed interval [lo, hi] * 10**-precision with integer mantissas."""
+class Interval(namedtuple("Interval", "lo hi precision")):
+    """Closed interval [lo, hi] * 10**-precision with integer mantissas.
 
+    An immutable named tuple whose ``__new__`` checks the fields; `_make`,
+    which ``_replace`` calls, goes through it, so no path skips the checks.
+    """
+
+    __slots__ = ()
     lo: int
     hi: int
     precision: int
 
-    def __post_init__(self) -> None:
-        if self.precision < 1:
+    def __new__(cls, lo: int, hi: int, precision: int) -> Interval:
+        if precision < 1:
             raise ValueError("precision must be >= 1")
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
+        if lo > hi:
+            raise ValueError(f"empty interval: lo={lo} > hi={hi}")
+        return tuple.__new__(cls, (lo, hi, precision))
+
+    @classmethod
+    def _make(cls, fields: Iterable[int]) -> Interval:
+        return cls(*fields)
 
     @property
     def lo_rational(self) -> Rational:

@@ -49,11 +49,11 @@ from __future__ import annotations
 
 import math
 import re
-from collections import deque
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections import deque, namedtuple
+from collections.abc import Iterable, Iterator
 from decimal import Decimal
 from itertools import islice
+from typing import NamedTuple
 
 from .exactnum import (
     Interval,
@@ -95,8 +95,7 @@ def _doubling_index(n: int) -> int:
     raise UsageError(f"side count must be 3 * 2**k, got {int_str(n)}")
 
 
-@dataclass(frozen=True)
-class PolygonBounds:
+class PolygonBounds(NamedTuple):
     """Enclosures of the inscribed (lower) and circumscribed (upper) perimeters."""
 
     n: int
@@ -232,23 +231,31 @@ def bounds_at(k: int, digits: int,
 # nested-radical closed forms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RadicalExpr:
+class RadicalExpr(namedtuple("RadicalExpr", "multiplier numerator denominator")):
     """multiplier * numerator / denominator, all parts exact.
 
     A tower is the tuple of its signs, outermost first: ``()`` is sqrt(3),
     ``("-", "+")`` is sqrt(2 - sqrt(2 + sqrt(3))).  ``numerator`` is a tower
     or None (meaning 1); ``denominator`` is the integer 1 or 2, or a tower.
+    A named tuple whose ``__new__`` checks the signs; `_make`, which
+    ``_replace`` calls, goes through it.
     """
 
+    __slots__ = ()
     multiplier: int
     numerator: tuple[str, ...] | None
     denominator: tuple[str, ...] | int
 
-    def __post_init__(self) -> None:
-        for tower in (self.numerator, self.denominator):
+    def __new__(cls, multiplier: int, numerator: tuple[str, ...] | None,
+                denominator: tuple[str, ...] | int) -> RadicalExpr:
+        for tower in (numerator, denominator):
             if isinstance(tower, tuple) and not set(tower) <= {"+", "-"}:
                 raise ValueError("tower signs must be '+' or '-'")
+        return tuple.__new__(cls, (multiplier, numerator, denominator))
+
+    @classmethod
+    def _make(cls, fields: Iterable[object]) -> RadicalExpr:
+        return cls(*fields)
 
     def render(self) -> str:
         parts = [int_str(self.multiplier)]

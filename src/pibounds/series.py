@@ -25,8 +25,8 @@ digits.  A row holds values only; `SeriesEstimate.cells` writes its text.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import count, islice
+from typing import NamedTuple
 
 from . import polygon
 from .exactnum import (PI_REFERENCE, Interval, Rational, UsageError, _Ratio,
@@ -34,8 +34,7 @@ from .exactnum import (PI_REFERENCE, Interval, Rational, UsageError, _Ratio,
                        make_interval)
 
 
-@dataclass(frozen=True)
-class SeriesEstimate:
+class SeriesEstimate(NamedTuple):
     series: str
     terms: int
     estimate: Rational | Interval

@@ -88,6 +88,8 @@ class TestExpand:
             ContinuedFraction((-1, 2))
         with pytest.raises(ValueError):
             ContinuedFraction((3, 0, 2))
+        with pytest.raises(ValueError):
+            ContinuedFraction((3, 7))._replace(coeffs=())
 
     def test_str(self):
         assert str(ContinuedFraction((3, 7, 7))) == "[3; 7, 7]"
@@ -375,9 +377,11 @@ class TestBoundExpansion:
 
         def counting(cls):
             class Counting(cls):
-                def __init__(self, *args, **kwargs):
+                __slots__ = ()
+
+                def __new__(cls_, *args, **kwargs):
                     built[cls.__name__] += 1
-                    super().__init__(*args, **kwargs)
+                    return super().__new__(cls_, *args, **kwargs)
             return Counting
 
         for name in ("Convergent", "BoundCandidate"):

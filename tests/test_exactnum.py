@@ -326,6 +326,11 @@ class TestInterval:
             Interval(2, 1, 5)
         with pytest.raises(ValueError):
             Interval(0, 1, 0)
+        # _replace builds through the same checks
+        with pytest.raises(ValueError):
+            Interval(1, 2, 5)._replace(lo=3)
+        with pytest.raises(ValueError):
+            Interval(1, 2, 5)._replace(precision=0)
 
     def test_zero_width_is_legal(self):
         iv = Interval(31415, 31415, 4)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -242,7 +241,7 @@ class TestHalveAngle:
         for end in ("lower", "upper"):
             iv = getattr(b, end)
             for lo in (0, -1, -10**8):
-                bad = replace(b, **{end: Interval(lo, iv.hi, iv.precision)})
+                bad = b._replace(**{end: Interval(lo, iv.hi, iv.precision)})
                 with pytest.raises(PrecisionExhausted, match="not positive at n=3$"):
                     halve_angle(bad)
 
@@ -777,6 +776,12 @@ class TestNestedRadicalForm:
             RadicalExpr(1, ("+", None), 1)
         with pytest.raises(ValueError):
             RadicalExpr(1, None, (None, "+"))
+        # _replace builds through the same checks
+        expr = RadicalExpr(12, ("-",), 2)
+        with pytest.raises(ValueError, match="tower signs"):
+            expr._replace(numerator=("*",))
+        with pytest.raises(ValueError, match="tower signs"):
+            expr._replace(denominator=("+", "/"))
 
 
 class TestEvalRadical:

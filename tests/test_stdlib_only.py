@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,3 +33,26 @@ def test_every_import_is_relative_or_stdlib():
     outside = [(p.name, name) for p in SOURCES for name in imported_modules(p)
                if name not in sys.stdlib_module_names]
     assert outside == []
+
+
+# In a fresh interpreter: the modules that importing the CLI and building its
+# parser adds, one name a line.
+COLD_START = """
+import sys
+before = set(sys.modules)
+import pibounds.cli
+pibounds.cli.build_parser()
+print(*sorted(set(sys.modules) - before), sep="\\n")
+"""
+
+
+def test_cold_start_loads_no_dataclasses_inspect_or_json():
+    """Every run pays its imports: dataclasses pulls in inspect, ast, dis and
+    tokenize, and json is needed only by ``--format json``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", COLD_START], capture_output=True,
+                          text=True, check=True, env={**os.environ, "PYTHONPATH": path})
+    added = set(proc.stdout.split())
+    assert "pibounds.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect", "json"}), sorted(added)
