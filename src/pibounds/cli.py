@@ -4,17 +4,17 @@ Subcommands: bounds, table, cf, approx, series, export-fig3.  All numeric
 output is printed from exact fixed-point endpoints or exact rationals, so
 identical invocations are byte-identical.
 
-Exit codes: 0 success, 2 argument error, 3 precision/resource failure,
-4 no valid bound under the denominator cap.
+Exit codes: 0 success, 1 the reader closed stdout (no traceback), 2 argument
+error, 3 precision/resource failure, 4 no valid bound under the denominator cap.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import chain, repeat
 
 from . import contfrac, polygon, series
 from .exactnum import (PI_REFERENCE, PiBoundsError, Rational, Side, UsageError,
@@ -55,10 +55,22 @@ def _json_text(obj: object) -> str:
     return write(obj)
 
 
-def _cells(bounds: polygon.PolygonBounds, digits: int) -> tuple[str, str, str, str]:
-    """c_lo, c_hi, C_lo, C_hi as outward-rounded strings: lo floored, hi ceiled."""
-    return (*bounds.lower.decimal_bounds(digits),
-            *bounds.upper.decimal_bounds(digits))
+def _row(bounds: polygon.PolygonBounds, digits: int,
+         forms: bool = False) -> dict[str, object]:
+    """A rung's cells, keyed by CSV header and JSON name: ``n``, then c_lo, c_hi,
+    C_lo, C_hi outward-rounded (lo floored, hi ceiled), with ``forms`` each
+    pair after its closed form ``c_form`` or ``C_form``."""
+    row: dict[str, object] = {"n": bounds.n}
+    for name, enclosure in (("c", bounds.lower), ("C", bounds.upper)):
+        if forms:
+            row[f"{name}_form"] = polygon.nested_radical_form(bounds.n, name).render()
+        row[f"{name}_lo"], row[f"{name}_hi"] = enclosure.decimal_bounds(digits)
+    return row
+
+
+def _csv_line(row: dict[str, object]) -> str:
+    n, *cells = row.values()
+    return ",".join((int_str(n), *cells))
 
 
 # ---------------------------------------------------------------------------
@@ -66,52 +78,28 @@ def _cells(bounds: polygon.PolygonBounds, digits: int) -> tuple[str, str, str, s
 # ---------------------------------------------------------------------------
 
 def cmd_bounds(args: argparse.Namespace) -> None:
-    bounds = polygon.bounds_at(args.doublings, args.digits, args.max_precision)
-    c_lo, c_hi, t_lo, t_hi = _cells(bounds, args.digits)
+    row = _row(polygon.bounds_at(args.doublings, args.digits, args.max_precision),
+               args.digits)
     if args.format == "csv":
-        print("n,c_lo,c_hi,C_lo,C_hi")
-        print(f"{int_str(bounds.n)},{c_lo},{c_hi},{t_lo},{t_hi}")
+        print(",".join(row), _csv_line(row), sep="\n")
     elif args.format == "json":
-        print(_json_text({
-            "command": "bounds",
-            "doublings": args.doublings,
-            "digits": args.digits,
-            "n": bounds.n,
-            "c_lo": c_lo, "c_hi": c_hi,
-            "C_lo": t_lo, "C_hi": t_hi,
-        }))
+        print(_json_text({"command": "bounds", "doublings": args.doublings,
+                          "digits": args.digits, **row}))
     else:
-        print(f"n = {int_str(bounds.n)}")
-        print(f"c_n in [{c_lo}, {c_hi}]")
-        print(f"C_n in [{t_lo}, {t_hi}]")
+        print(f"n = {int_str(row['n'])}")
+        print(f"c_n in [{row['c_lo']}, {row['c_hi']}]")
+        print(f"C_n in [{row['C_lo']}, {row['C_hi']}]")
 
 
 # ---------------------------------------------------------------------------
 # table
 # ---------------------------------------------------------------------------
 
-def _table_rows(max_doublings: int, digits: int,
-                max_precision: int) -> list[dict[str, object]]:
-    rows = []
-    for bounds in polygon.ladder(max_doublings, digits, max_precision):
-        c_lo, c_hi, t_lo, t_hi = _cells(bounds, digits)
-        rows.append({
-            "n": bounds.n,
-            "c_form": polygon.nested_radical_form(bounds.n, "c").render(),
-            "c_lo": c_lo, "c_hi": c_hi,
-            "C_form": polygon.nested_radical_form(bounds.n, "C").render(),
-            "C_lo": t_lo, "C_hi": t_hi,
-        })
-    return rows
-
-
 def cmd_table(args: argparse.Namespace) -> None:
-    rows = _table_rows(args.max_doublings, args.digits, args.max_precision)
+    rows = [_row(bounds, args.digits, forms=True) for bounds in
+            polygon.ladder(args.max_doublings, args.digits, args.max_precision)]
     if args.format == "csv":
-        print("n,c_form,c_lo,c_hi,C_form,C_lo,C_hi")
-        for r in rows:
-            print(f"{int_str(r['n'])},{r['c_form']},{r['c_lo']},{r['c_hi']},"
-                  f"{r['C_form']},{r['C_lo']},{r['C_hi']}")
+        print(",".join(rows[0]), *map(_csv_line, rows), sep="\n")
     elif args.format == "json":
         print(_json_text({
             "command": "table",
@@ -176,11 +164,11 @@ def cmd_cf(args: argparse.Namespace) -> None:
 def _print_candidates(exp: contfrac.BoundExpansion) -> None:
     """The ``{which} candidates`` line, written one candidate at a time."""
     print(f"{exp.which} candidates (from {exp.decimal_text}): ", end="")
-    notes = chain(repeat("", exp.cap_end), repeat(" (over cap)"))
     sys.stdout.writelines(
-        f"{'; ' if i else ''}{text} {verdict._value_}{note}"
-        for i, (text, verdict, note) in enumerate(zip(
-            contfrac.convergent_texts(exp.cf), exp.verdicts, notes)))
+        f"{'; ' if i else ''}{text} {verdict._value_}"
+        f"{' (over cap)' if i >= exp.cap_end else ''}"
+        for i, (text, verdict) in enumerate(zip(
+            contfrac.convergent_texts(exp.cf), exp.verdicts)))
     print()
 
 
@@ -219,10 +207,9 @@ _REFERENCES = (
 
 
 def cmd_export_fig3(args: argparse.Namespace) -> None:
-    rungs = list(polygon.ladder(args.max_doublings, args.digits, args.max_precision))
-    print("n,c_n,c_n_hi,C_n,C_n_hi")
-    for bounds in rungs:
-        print(int_str(bounds.n), *_cells(bounds, args.digits), sep=",")
+    lines = [_csv_line(_row(bounds, args.digits)) for bounds in
+             polygon.ladder(args.max_doublings, args.digits, args.max_precision)]
+    print("n,c_n,c_n_hi,C_n,C_n_hi", *lines, sep="\n")
     for label, value in _REFERENCES:
         cell = decimal_str(value, args.digits)
         print(f"{label},{cell},{cell},{cell},{cell}")
@@ -296,9 +283,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # each subcommand names its handler: export-fig3 runs cmd_export_fig3
         globals()["cmd_" + args.command.replace("-", "_")](args)
+        sys.stdout.flush()
     except PiBoundsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(c for cls, c in EXIT_CODES.items() if isinstance(exc, cls))
+    except BrokenPipeError:
+        # the reader left: what is still buffered goes to devnull at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return EXIT_OK
 
 

@@ -175,11 +175,9 @@ def convergent_texts(cf: ContinuedFraction) -> Iterator[str]:
 
 
 def reconstruct(cf: ContinuedFraction) -> Rational:
-    """Exact value a0 + 1/(a1 + 1/(...)), folded bottom-up."""
-    value = Rational(cf.coeffs[-1])
-    for a in reversed(cf.coeffs[:-1]):
-        value = a + 1 / value
-    return value
+    """Exact value a0 + 1/(a1 + 1/(...)): the last convergent."""
+    hs, ks = _recurrence(cf.coeffs)
+    return Rational(hs[-1], ks[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +311,7 @@ def certified_rational_bounds(k: int, digits: int, den_cap: int,
             raise NoValidBound(
                 f"no convergent with denominator <= {den_cap} certified "
                 f"{wanted.value} the {exp.which} enclosure at n={int_str(exp.n)}")
-        hs, ks = _recurrence(exp.cf.coeffs[:i + 1])
-        return Rational(hs[-1], ks[-1])
+        return reconstruct(ContinuedFraction(exp.cf.coeffs[:i + 1]))
 
     return CertifiedBounds(n=bounds.n, den_cap=den_cap,
                            lower=pick(lower_exp, Side.BELOW),

@@ -189,10 +189,9 @@ def make_interval(q: Rational | int, precision: int) -> Interval:
     if precision < 1:
         raise UsageError("precision must be >= 1")
     q = Rational(q)
-    s = 10**precision
-    return Interval(q.numerator * s // q.denominator,
-                    ceil_div(q.numerator * s, q.denominator),
-                    precision)
+    # one divmod: the remainder is nonzero exactly when the floor is inexact
+    m, r = divmod(q.numerator * 10**precision, q.denominator)
+    return Interval(m, m + (r != 0), precision)
 
 
 def _aligned(a: Interval, b: Interval) -> tuple[Interval, Interval, int]:
@@ -223,13 +222,11 @@ def interval_div(a: Interval, b: Interval) -> Interval:
     if b.lo <= 0 <= b.hi:
         raise DivisionByZeroInterval(f"divisor {b} encloses zero")
     s = 10**p
-    quotients_lo = []
-    quotients_hi = []
-    for x in (a.lo, a.hi):
-        for y in (b.lo, b.hi):
-            quotients_lo.append(x * s // y)
-            quotients_hi.append(ceil_div(x * s, y))
-    return Interval(min(quotients_lo), max(quotients_hi), p)
+    # one divmod per corner; it floors for either sign of divisor, and the
+    # ceiling is one more when the remainder is nonzero
+    corners = [divmod(x * s, y) for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
+    return Interval(min(q for q, _ in corners),
+                    max(q + (r != 0) for q, r in corners), p)
 
 
 _OPS = {

@@ -331,6 +331,50 @@ class TestExportFig3:
         assert ref["pi_reference"] == "3.14159265"
 
 
+class TestRungWriters:
+    """bounds, table and export-fig3 write a rung's cells alike."""
+
+    @pytest.mark.parametrize("digits", [1, 8, 50])
+    @pytest.mark.parametrize("k", [0, 1, 5, 13])
+    def test_the_three_writers_agree(self, k, digits, capsys):
+        def out(*argv: str) -> str:
+            code, text = run_cli(*argv, "--digits", str(digits), capsys=capsys)
+            assert code == 0
+            return text
+
+        bounds_csv = out("bounds", "--doublings", str(k), "--format", "csv")
+        bounds_json = json.loads(out("bounds", "--doublings", str(k), "--format", "json"))
+        fig3 = out("export-fig3", "--max-doublings", str(k)).splitlines()
+        table_csv = out("table", "--max-doublings", str(k), "--format", "csv").splitlines()
+        table_json = json.loads(out("table", "--max-doublings", str(k),
+                                    "--format", "json"))["rows"]
+
+        header, line = bounds_csv.splitlines()
+        assert header == "n,c_lo,c_hi,C_lo,C_hi"
+        assert line == fig3[1 + k]
+        fields = table_csv[1 + k].split(",")
+        assert ",".join(fields[i] for i in (0, 2, 3, 5, 6)) == line
+        assert {key: bounds_json[key] for key in header.split(",")} == {
+            key: value for key, value in table_json[k].items()
+            if key not in ("c_form", "C_form")}
+
+
+class TestClosedPipe:
+    def test_reader_closing_stdout_exits_1_without_traceback(self):
+        """The output is far larger than a pipe's buffer, so the writer is
+        still writing when the reader leaves after one line."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pibounds", "export-fig3",
+             "--max-doublings", "2000", "--digits", "5"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"n,c_n,c_n_hi,C_n,C_n_hi\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert stderr == b""
+
+
 class TestExitCodes:
     def test_usage_error(self, capsys):
         assert main(["bounds"]) == 2

@@ -207,6 +207,26 @@ class TestReconstruct:
     def test_roundtrip_property(self, q):
         assert reconstruct(expand(q)) == q
 
+    @staticmethod
+    def fold_reference(cf: ContinuedFraction) -> Fraction:
+        """a0 + 1/(a1 + 1/(...)) folded bottom-up in Fractions."""
+        value = Fraction(cf.coeffs[-1])
+        for a in reversed(cf.coeffs[:-1]):
+            value = a + 1 / value
+        return value
+
+    @given(coeffs=st.lists(st.integers(1, 10**12), min_size=1, max_size=60),
+           a0=st.integers(0, 10**12))
+    def test_matches_bottom_up_fold(self, coeffs, a0):
+        # any coefficients, a trailing 1 included, not only those expand writes
+        for cf in (ContinuedFraction((a0, *coeffs)), ContinuedFraction((a0,))):
+            assert reconstruct(cf) == self.fold_reference(cf)
+
+    def test_matches_bottom_up_fold_on_a_deep_bound(self):
+        cf = bound_expansion(120, 1000, "lower").cf
+        assert len(cf.coeffs) > 1000
+        assert reconstruct(cf) == self.fold_reference(cf)
+
 
 class TestCertifiedRationalBounds:
     def test_classic_bracket(self):

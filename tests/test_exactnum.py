@@ -27,6 +27,7 @@ from pibounds.exactnum import (
     fraction_str,
     int_str,
     interval_arith,
+    interval_div,
     interval_sqrt,
     isqrt_ceil,
     make_interval,
@@ -79,6 +80,27 @@ precisions = st.integers(min_value=1, max_value=30)
 mantissas = st.integers(min_value=-10**12, max_value=10**12)
 
 
+def ceil_div_reference(a: int, b: int) -> int:
+    return -((-a) // b)
+
+
+def make_interval_reference(q: Fraction, p: int) -> Interval:
+    """make_interval by two divisions, a floor and a ceiling."""
+    s = 10**p
+    return Interval(q.numerator * s // q.denominator,
+                    ceil_div_reference(q.numerator * s, q.denominator), p)
+
+
+def interval_div_reference(a: Interval, b: Interval) -> Interval:
+    """interval_div by eight divisions: a floor and a ceiling per corner."""
+    p = max(a.precision, b.precision)
+    a, b = a.with_precision(p), b.with_precision(p)
+    s = 10**p
+    corners = [(x * s, y) for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
+    return Interval(min(x // y for x, y in corners),
+                    max(ceil_div_reference(x, y) for x, y in corners), p)
+
+
 def side_of_reference(q, iv: Interval) -> Side:
     """side_of by exact Fraction comparison against the endpoints: the
     reference the integer cross-multiplication must agree with."""
@@ -122,6 +144,17 @@ class TestMakeInterval:
     def test_precision_must_be_positive(self):
         with pytest.raises(ValueError):
             make_interval(Fraction(1), 0)
+
+    @given(q=rationals, p=precisions)
+    def test_matches_two_division_reference(self, q, p):
+        assert make_interval(q, p) == make_interval_reference(q, p)
+
+    def test_matches_two_division_reference_on_random_rationals(self):
+        rng = random.Random(2520)
+        for _ in range(2000):
+            q = Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**30))
+            p = rng.randint(1, 60)
+            assert make_interval(q, p) == make_interval_reference(q, p)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +223,31 @@ class TestIntervalArith:
         coarse = interval_arith(op, a1, b1)
         fine = interval_arith(op, a2, b2).with_precision(p)
         assert coarse.lo <= fine.lo and fine.hi <= coarse.hi
+
+    @given(m1=mantissas, m2=mantissas, m3=mantissas, m4=mantissas,
+           p1=precisions, p2=precisions)
+    def test_div_matches_eight_division_reference(self, m1, m2, m3, m4, p1, p2):
+        a = Interval(*sorted((m1, m2)), p1)
+        b = Interval(*sorted((m3, m4)), p2)
+        if b.lo <= 0 <= b.hi:
+            with pytest.raises(DivisionByZeroInterval):
+                interval_div(a, b)
+            return
+        assert interval_div(a, b) == interval_div_reference(a, b)
+
+    def test_div_matches_eight_division_reference_on_random_intervals(self):
+        """Both signs of each endpoint, exact and inexact corners, and
+        precisions that differ, so alignment runs first."""
+        rng = random.Random(2521)
+        for _ in range(2000):
+            p1, p2 = rng.randint(1, 40), rng.randint(1, 40)
+            a = Interval(*sorted(rng.randint(-10**p1, 10**p1) * rng.choice((1, 7))
+                                 for _ in range(2)), p1)
+            b = Interval(*sorted(rng.randint(1, 10**p2) * rng.choice((1, 3))
+                                 for _ in range(2)), p2)
+            if rng.random() < 0.5:
+                b = Interval(-b.hi, -b.lo, p2)
+            assert interval_div(a, b) == interval_div_reference(a, b)
 
 
 # ---------------------------------------------------------------------------
