@@ -4,8 +4,9 @@ Subcommands: bounds, table, cf, approx, series, export-fig3.  All numeric
 output is printed from exact fixed-point endpoints or exact rationals, so
 identical invocations are byte-identical.
 
-Exit codes: 0 success, 1 the reader closed stdout (no traceback), 2 argument
-error, 3 precision/resource failure, 4 no valid bound under the denominator cap.
+Exit codes: 0 success, 1 the reader closed stdout (no traceback; ``--help``
+too), 2 argument error, 3 precision/resource failure, 4 no valid bound under
+the denominator cap.
 """
 
 from __future__ import annotations
@@ -276,24 +277,32 @@ _shared_parser = functools.cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    Every path, argparse's exit (help or a usage error) included, ends by
+    flushing stdout, so a reader that closed it gives exit 1 and no
+    traceback.  With unbuffered stdout (``PYTHONUNBUFFERED``), argparse
+    drops the ``OSError`` of writing help itself, and ``--help`` exits 0.
+    """
     try:
-        args = _shared_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        # each subcommand names its handler: export-fig3 runs cmd_export_fig3
-        globals()["cmd_" + args.command.replace("-", "_")](args)
+        try:
+            args = _shared_parser().parse_args(argv)
+            # each subcommand names its handler: export-fig3 runs cmd_export_fig3
+            globals()["cmd_" + args.command.replace("-", "_")](args)
+            code = EXIT_OK
+        except SystemExit as exc:
+            code = int(exc.code or 0)
+        except PiBoundsError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = next(c for cls, c in EXIT_CODES.items() if isinstance(exc, cls))
         sys.stdout.flush()
-    except PiBoundsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return next(c for cls, c in EXIT_CODES.items() if isinstance(exc, cls))
     except BrokenPipeError:
         # the reader left: what is still buffered goes to devnull at exit
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    return EXIT_OK
+    return code
 
 
 if __name__ == "__main__":

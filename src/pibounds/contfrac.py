@@ -23,9 +23,9 @@ so one more bisection finds it).  Its per-convergent records,
 `BoundCandidate`, are built only when ``candidates`` is read.
 
 Their text is made apart from the ints: `convergent_texts` runs the same
-forward recurrence again, past a few hundred bits on exact ``Decimal``
-integers, whose text is written in linear time, where CPython's ``str(int)``
-is quadratic and would be most of the cost of printing a long list.
+forward recurrence again on exact ``Decimal`` integers, whose text is
+written in linear time, where CPython's ``str(int)`` is quadratic and would
+be most of the cost of printing a long list.
 """
 
 from __future__ import annotations
@@ -140,35 +140,19 @@ def convergents(cf: ContinuedFraction) -> list[Convergent]:
             for i, (h, k) in enumerate(zip(*_recurrence(cf.coeffs)))]
 
 
-# Past this size a convergent's text is cheaper from the Decimal recurrence:
-# on CPython 3.11 a step of ints and str(int) took 0.8 us at 200 digits and
-# 16 us at 1000, and one of Decimal fma and str 0.8 us and 3.5 us.
-_INT_TEXT_BITS = 640
-
-
 def convergent_texts(cf: ContinuedFraction) -> Iterator[str]:
     """``fraction_str`` of each convergent, in order, in linear time each.
 
-    The forward recurrence of `convergents` runs on ints while they are short
-    (under ``_INT_TEXT_BITS``), then on exact ``Decimal`` integers, whose text
-    is written in linear time where ``str(int)`` is quadratic.  Their context
-    has the largest precision and exponent range and traps Inexact and
-    Rounded, so a rounding would raise instead of printing.
+    The forward recurrence of `convergents` runs again, on exact ``Decimal``
+    integers, whose text is written in linear time where ``str(int)`` is
+    quadratic.  Their context has the largest precision and exponent range
+    and traps Inexact and Rounded, so a rounding would raise instead of
+    printing; the text does not depend on the caller's context, which is
+    left as it was.
     """
-    h, h_prev, k, k_prev = 1, 0, 0, 1
-    coeffs = iter(cf.coeffs)
-    for a in coeffs:
-        h, h_prev = a * h + h_prev, h
-        k, k_prev = a * k + k_prev, k
-        if (h | k).bit_length() > _INT_TEXT_BITS:
-            break
-        yield f"{h}/{k}"
-    else:
-        return
     fma = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded]).fma
-    h, h_prev, k, k_prev = map(Decimal, (h, h_prev, k, k_prev))
-    yield f"{h!s}/{k!s}"
-    for a in map(Decimal, coeffs):
+    h, h_prev, k, k_prev = map(Decimal, (1, 0, 0, 1))
+    for a in map(Decimal, cf.coeffs):
         h, h_prev = fma(a, h, h_prev), h
         k, k_prev = fma(a, k, k_prev), k
         yield f"{h!s}/{k!s}"

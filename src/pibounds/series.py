@@ -8,18 +8,18 @@ Five truncation families, each converted to a pi estimate:
   wallis       pi/2 = (2/1 * 2/3) * (4/3 * 4/5) * ...    (N factor pairs)
   viete        2/pi = (sqrt(2)/2) * (sqrt(2+sqrt(2))/2) * ...  (N factors)
 
-Each formula is one generator of its estimates for N = 0, 1, 2, ...: row N
-extends the running sum or product of row N - 1 by one term, so
-`convergence_report` costs O(N) terms, not O(N^2), and `iter_report` hands
-the rows out one at a time as the pass makes them.  Brouncker's N-level
-truncation is 4 times the (N + 1)-term Leibniz sum (Euler's identity, proved
-in `_brouncker`), so its pass is Leibniz's read from row 1.  The first four
-truncations are rational and exact.  Viete's row N,
-2 / prod_{j=1..N} cos(90/2**j) = 2**(N+1) sin(90/2**N), is the inscribed
-perimeter c_n of the n-gon, n = 2**(N+1): its pass is the literal 2 for
-N = 0, then `polygon.doublings` seeded at the 4-gon (c_4 = sqrt(8), C_4 = 4),
-and each row is that certified interval rounded outward to ``precision``
-digits.  A row holds values only; `SeriesEstimate.cells` writes its text.
+Each formula is one generator of its estimates from its first row (N = 1
+for Leibniz and Viete, N = 0 for the others): row N extends the running sum
+or product of row N - 1 by one term, so `convergence_report` costs O(N)
+terms, not O(N^2), and `iter_report` hands the rows out one at a time as the
+pass makes them.  Brouncker's N-level truncation is 4 times the (N + 1)-term
+Leibniz sum (Euler's identity, proved in `_brouncker`), so its pass is
+Leibniz's as it is.  The first four truncations are rational and exact.
+Viete's row N, 2 / prod_{j=1..N} cos(90/2**j) = 2**(N+1) sin(90/2**N), is
+the inscribed perimeter c_n of the n-gon, n = 2**(N+1): its pass is
+`polygon.doublings` seeded at the 4-gon (c_4 = sqrt(8), C_4 = 4), and each
+row is that certified interval rounded outward to ``precision`` digits.  A
+row holds values only; `SeriesEstimate.cells` writes its text.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ class SeriesEstimate(NamedTuple):
 def _leibniz(precision: int) -> Iterator[Rational]:
     total = Rational(0)
     for i in count():
-        yield 4 * total
         total += Rational((-1) ** i, 2 * i + 1)
+        yield 4 * total
 
 
 def _nilakantha(precision: int) -> Iterator[Rational]:
@@ -73,7 +73,7 @@ def _nilakantha(precision: int) -> Iterator[Rational]:
 
 
 def _brouncker(precision: int) -> Iterator[Rational]:
-    """Leibniz's pass read from row 1: Brouncker's row N is Leibniz's row N + 1.
+    """Leibniz's pass as it is: Brouncker's row N is Leibniz's row N + 1.
 
     This is Euler's identity (Introductio in analysin infinitorum, 1748,
     ch. 18).  Row N is 4 k_N / h_N, where h_N / k_N is the N-level
@@ -91,7 +91,7 @@ def _brouncker(precision: int) -> Iterator[Rational]:
     alternating series with decreasing terms do: above it for even N, below
     it for odd N.
     """
-    return islice(_leibniz(precision), 1, None)
+    return _leibniz(precision)
 
 
 def _wallis(precision: int) -> Iterator[Rational]:
@@ -102,12 +102,10 @@ def _wallis(precision: int) -> Iterator[Rational]:
 
 
 def _viete(precision: int) -> Iterator[Interval]:
-    # row 0 is the literal 2, which no request reaches (viete needs terms >= 1);
-    # rows N >= 1 are c_n from the 4-gon.  c's enclosure widens by under 4.1
-    # units of its last place per row (the bound proved in `polygon.ladder`),
-    # so 10 guard digits keep every row within 2 units of ``precision`` to
-    # N ~ 10**9
-    yield make_interval(2, precision)
+    # row N >= 1 is c_n from the 4-gon, n = 2**(N+1).  c's enclosure widens by
+    # under 4.1 units of its last place per row (the bound proved in
+    # `polygon.ladder`), so 10 guard digits keep every row within 2 units of
+    # ``precision`` to N ~ 10**9
     p = precision + 10
     four_gon = polygon.PolygonBounds(4, interval_sqrt(make_interval(8, p)),
                                      make_interval(4, p))
@@ -132,7 +130,8 @@ def _rows(series: str, first: int, precision: int) -> Iterator[SeriesEstimate]:
     min_terms = 1 if series in ("leibniz", "viete") else 0
     if first < min_terms:
         raise UsageError(f"{series} needs terms >= {min_terms}, got {first}")
-    estimates = islice(_PASSES[series](precision), first, None)
+    # each pass starts at its series' first row, N = min_terms
+    estimates = islice(_PASSES[series](precision), first - min_terms, None)
     return (SeriesEstimate(series, n, estimate)
             for n, estimate in enumerate(estimates, first))
 

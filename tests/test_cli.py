@@ -374,6 +374,22 @@ class TestClosedPipe:
         assert proc.wait(timeout=60) == 1
         assert stderr == b""
 
+    @pytest.mark.parametrize("argv", [["--help"], ["cf", "--help"]])
+    def test_help_to_a_closed_stdout_exits_1_without_traceback(self, argv):
+        """Help is written by argparse, which then exits; stdout is buffered
+        (no PYTHONUNBUFFERED), so the write fails only when it is flushed."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        try:
+            proc = subprocess.run([sys.executable, "-m", "pibounds", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == b""
+
 
 class TestExitCodes:
     def test_usage_error(self, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import math
 import random
 from collections import Counter
@@ -190,6 +191,19 @@ class TestConvergentTexts:
             texts = list(convergent_texts(cf))
             assert texts == per_convergent_texts(cf)
             assert len(texts[-1]) > 4300
+
+    def test_ignores_the_callers_decimal_context(self):
+        """Three digits of precision and no traps would round every long
+        convergent if the caller's context were used."""
+        expansions = (expand(Fraction(157, 50)), bound_expansion(5, 8, "lower").cf,
+                      bound_expansion(40, 400, "lower").cf)
+        expected = [list(convergent_texts(cf)) for cf in expansions]
+        outer, outer_state = decimal.getcontext(), repr(decimal.getcontext())
+        with decimal.localcontext(decimal.Context(prec=3, traps=[])) as context:
+            assert [list(convergent_texts(cf)) for cf in expansions] == expected
+            assert decimal.getcontext() is context
+            assert context.prec == 3 and not any(context.flags.values())
+        assert decimal.getcontext() is outer and repr(outer) == outer_state
 
 
 class TestReconstruct:
