@@ -146,13 +146,11 @@ def halve_angle(bounds: PolygonBounds) -> PolygonBounds:
     factor of the size of the widths, and every mantissa is the one the
     formulas above give.
     """
-    c, t = bounds.lower, bounds.upper
-    if c.precision != t.precision:
-        raise UsageError(f"perimeter precisions differ: {c.precision} and {t.precision}")
-    if c.lo <= 0 or t.lo <= 0:
-        raise PrecisionExhausted(
-            f"perimeter enclosure not positive at n={int_str(bounds.n)}")
-    c_lo, c_hi, t_lo, t_hi = c.lo, c.hi, t.lo, t.hi
+    n, (c_lo, c_hi, p), (t_lo, t_hi, t_p) = bounds
+    if p != t_p:
+        raise UsageError(f"perimeter precisions differ: {p} and {t_p}")
+    if c_lo <= 0 or t_lo <= 0:
+        raise PrecisionExhausted(f"perimeter enclosure not positive at n={int_str(n)}")
     dc, dt = c_hi - c_lo, t_hi - t_lo
     h, r = divmod(2 * c_lo * t_lo, c_lo + t_lo)
     h_hi = h + ceil_div(r + 2 * (dc * t_lo + dt * c_lo + dc * dt) - h * (dc + dt),
@@ -167,9 +165,7 @@ def halve_angle(bounds: PolygonBounds) -> PolygonBounds:
         g_hi = g + e
     else:
         g_hi = isqrt_ceil(c_hi * h_hi)
-    p = c.precision
-    return PolygonBounds(n=2 * bounds.n, lower=Interval(g, g_hi, p),
-                         upper=Interval(h, h_hi, p))
+    return PolygonBounds(2 * n, Interval(g, g_hi, p), Interval(h, h_hi, p))
 
 
 def doublings(bounds: PolygonBounds) -> Iterator[PolygonBounds]:
@@ -180,8 +176,9 @@ def doublings(bounds: PolygonBounds) -> Iterator[PolygonBounds]:
 
 
 def _checked(bounds: PolygonBounds, limit: int) -> PolygonBounds:
-    if max(bounds.lower.hi - bounds.lower.lo, bounds.upper.hi - bounds.upper.lo) >= limit:
-        raise PrecisionExhausted(f"perimeter enclosure too wide at n={int_str(bounds.n)}")
+    n, (c_lo, c_hi, _), (t_lo, t_hi, _) = bounds
+    if max(c_hi - c_lo, t_hi - t_lo) >= limit:
+        raise PrecisionExhausted(f"perimeter enclosure too wide at n={int_str(n)}")
     return bounds
 
 

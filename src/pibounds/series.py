@@ -8,13 +8,14 @@ Five truncation families, each converted to a pi estimate:
   wallis       pi/2 = (2/1 * 2/3) * (4/3 * 4/5) * ...    (N factor pairs)
   viete        2/pi = (sqrt(2)/2) * (sqrt(2+sqrt(2))/2) * ...  (N factors)
 
-Each formula is one generator of its estimates from its first row (N = 1
-for Leibniz and Viete, N = 0 for the others): row N extends the running sum
-or product of row N - 1 by one term, so `convergence_report` costs O(N)
-terms, not O(N^2), and `iter_report` hands the rows out one at a time as the
-pass makes them.  Brouncker's N-level truncation is 4 times the (N + 1)-term
-Leibniz sum (Euler's identity, proved in `_brouncker`), so its pass is
-Leibniz's as it is.  The first four truncations are rational and exact.
+Each formula is one generator of its estimates from its first row, written
+beside it in `_PASSES` (N = 1 for Leibniz and Viete, N = 0 for the others).
+The running value is the estimate itself (4 S_N for the N-term Leibniz sum,
+2 P_N for the N-pair Wallis product), so row N is row N - 1 with one exact
+operation: `convergence_report` costs O(N) terms, not O(N^2), and
+`iter_report` hands the rows out one at a time as the pass makes them.
+Brouncker's row N is 4 S_{N+1} (Euler's identity, proved in `_brouncker`),
+so its pass is Leibniz's.  The first four truncations are rational and exact.
 Viete's row N, 2 / prod_{j=1..N} cos(90/2**j) = 2**(N+1) sin(90/2**N), is
 the inscribed perimeter c_n of the n-gon, n = 2**(N+1): its pass is
 `polygon.doublings` seeded at the 4-gon (c_4 = sqrt(8), C_4 = 4), and each
@@ -60,8 +61,8 @@ class SeriesEstimate(NamedTuple):
 def _leibniz(precision: int) -> Iterator[Rational]:
     total = Rational(0)
     for i in count():
-        total += Rational((-1) ** i, 2 * i + 1)
-        yield 4 * total
+        total += Rational(4 * (-1) ** i, 2 * i + 1)
+        yield total
 
 
 def _nilakantha(precision: int) -> Iterator[Rational]:
@@ -95,9 +96,9 @@ def _brouncker(precision: int) -> Iterator[Rational]:
 
 
 def _wallis(precision: int) -> Iterator[Rational]:
-    product = Rational(1)
+    product = Rational(2)
     for j in count(1):
-        yield 2 * product
+        yield product
         product *= Rational(4 * j * j, 4 * j * j - 1)
 
 
@@ -113,8 +114,8 @@ def _viete(precision: int) -> Iterator[Interval]:
         yield bounds.lower.with_precision(precision)
 
 
-_PASSES = {"leibniz": _leibniz, "nilakantha": _nilakantha,
-           "brouncker": _brouncker, "wallis": _wallis, "viete": _viete}
+_PASSES = {"leibniz": (_leibniz, 1), "nilakantha": (_nilakantha, 0),
+           "brouncker": (_brouncker, 0), "wallis": (_wallis, 0), "viete": (_viete, 1)}
 SERIES_NAMES = tuple(_PASSES)
 
 
@@ -127,11 +128,10 @@ def _rows(series: str, first: int, precision: int) -> Iterator[SeriesEstimate]:
         raise UsageError(f"unknown series {series!r}")
     if precision < 1:
         raise UsageError("precision must be >= 1")
-    min_terms = 1 if series in ("leibniz", "viete") else 0
+    make_pass, min_terms = _PASSES[series]
     if first < min_terms:
         raise UsageError(f"{series} needs terms >= {min_terms}, got {first}")
-    # each pass starts at its series' first row, N = min_terms
-    estimates = islice(_PASSES[series](precision), first - min_terms, None)
+    estimates = islice(make_pass(precision), first - min_terms, None)
     return (SeriesEstimate(series, n, estimate)
             for n, estimate in enumerate(estimates, first))
 
@@ -162,6 +162,6 @@ def convergence_report(series_list: list[str], n_max: int,
                        precision: int) -> list[SeriesEstimate]:
     """One row per (series, N) for N = 1..n_max, in the given series order.
 
-    Each series is one pass, in which row N extends row N - 1 by one term.
+    Each series is one pass, one exact operation per row.
     """
     return list(iter_report(series_list, n_max, precision))

@@ -155,6 +155,26 @@ class TestSinglePass:
         assert len(rows) == 200
         assert calls <= 201
 
+    @pytest.mark.parametrize("name", ["leibniz", "nilakantha", "brouncker", "wallis"])
+    def test_rational_report_does_one_operation_per_row(self, name, monkeypatch):
+        """One pass: N rows take N Fraction operations, each a full gcd on
+        CPython 3.10 and 3.11, not two."""
+        calls = 0
+
+        def counting(op):
+            def counting_op(*args):
+                nonlocal calls
+                calls += 1
+                return op(*args)
+            return counting_op
+
+        for op in ("__add__", "__radd__", "__sub__", "__rsub__",
+                   "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+            monkeypatch.setattr(Fraction, op, counting(getattr(Fraction, op)))
+        rows = convergence_report([name], 60, 8)
+        assert len(rows) == 60
+        assert calls <= 61
+
 
 class TestRationalSeries:
     @pytest.mark.parametrize("terms,expected", [
